@@ -19,7 +19,6 @@
 
 pub mod heuristics;
 pub mod imm;
-pub mod kempe;
 pub mod maxcover;
 pub mod paper;
 

@@ -12,19 +12,20 @@
 //!
 //! ```text
 //! [8]  magic "OIPAMRRP"
-//! [4]  version (u32; v1 readable, v2 written)
+//! [4]  version (u32; only v2 is read or written)
 //! [4]  n (u32)
 //! [8]  θ (u64)
 //! [4]  ℓ (u32)
 //! [θ·4]  roots (u32)
 //! ℓ × ( [ (θ+1)·8 ] offsets (u64), [Σ|R|·4] nodes (u32) )
-//! [4]  CRC-32 of everything above (v2 only)
+//! [4]  CRC-32 of everything above
 //! ```
 //!
 //! The trailing checksum covers the magic through the last node, so a
 //! single flipped bit anywhere — including inside values that pass the
 //! structural range checks — fails the load with
-//! [`PoolIoError::Format`]. Version-1 files (no trailer) still load.
+//! [`PoolIoError::Format`]. Any other version is rejected, v1 (which
+//! carried no trailer) included.
 //! The inverted index is rebuilt on load (linear, faster than reading it).
 
 use crate::mrr::MrrPool;
@@ -35,10 +36,8 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"OIPAMRRP";
-/// Current write version: v2 appends a CRC-32 trailer.
+/// The only version read or written: v2 appends a CRC-32 trailer.
 const VERSION: u32 = 2;
-/// Oldest readable version (no checksum trailer).
-const MIN_VERSION: u32 = 1;
 
 /// Serialization errors.
 #[derive(Debug)]
@@ -99,7 +98,7 @@ pub fn write_pool<W: Write>(pool: &MrrPool, writer: W) -> Result<u32, PoolIoErro
 }
 
 /// Reads a pool from a reader, rebuilding inverted indexes. Accepts
-/// format v1 (no checksum) and v2 (CRC-32 trailer, verified).
+/// format v2 only and verifies its CRC-32 trailer.
 pub fn read_pool<R: Read>(reader: R) -> Result<MrrPool, PoolIoError> {
     let mut r = Crc32Reader::new(BufReader::with_capacity(1 << 16, reader));
     let mut magic = [0u8; 8];
@@ -110,9 +109,9 @@ pub fn read_pool<R: Read>(reader: R) -> Result<MrrPool, PoolIoError> {
         ));
     }
     let version = read_u32(&mut r)?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(PoolIoError::Format(format!(
-            "unsupported pool version {version} (readable: {MIN_VERSION}..={VERSION})"
+            "unsupported pool version {version} (readable: {VERSION})"
         )));
     }
     let n = read_u32(&mut r)? as usize;
@@ -142,17 +141,15 @@ pub fn read_pool<R: Read>(reader: R) -> Result<MrrPool, PoolIoError> {
         store.build_index(n);
         stores.push(store);
     }
-    if version >= 2 {
-        // Capture the payload digest before touching the trailer, then
-        // read the stored checksum through the inner reader (unhashed).
-        let computed = r.digest();
-        let stored = read_u32(r.get_mut())?;
-        if stored != computed {
-            return Err(PoolIoError::Format(format!(
-                "checksum mismatch: stored {stored:#010x}, computed {computed:#010x} \
-                 (corrupt pool file)"
-            )));
-        }
+    // Capture the payload digest before touching the trailer, then read
+    // the stored checksum through the inner reader (unhashed).
+    let computed = r.digest();
+    let stored = read_u32(r.get_mut())?;
+    if stored != computed {
+        return Err(PoolIoError::Format(format!(
+            "checksum mismatch: stored {stored:#010x}, computed {computed:#010x} \
+             (corrupt pool file)"
+        )));
     }
     MrrPool::from_parts(n as u32, roots, stores).map_err(PoolIoError::Format)
 }
@@ -267,34 +264,27 @@ mod tests {
         ));
     }
 
-    /// A v1 file is a v2 file with the version field patched down and the
-    /// 4-byte checksum trailer removed (the payload bytes are identical).
-    fn downgrade_to_v1(mut v2: Vec<u8>) -> Vec<u8> {
-        v2[8..12].copy_from_slice(&1u32.to_le_bytes());
-        v2.truncate(v2.len() - 4);
-        v2
-    }
-
-    #[test]
-    fn v1_files_still_load() {
-        let (g, table, campaign) = fig1();
-        let pool = MrrPool::generate(&g, &table, &campaign, 700, 3);
-        let mut buf = Vec::new();
-        write_pool(&pool, &mut buf).unwrap();
-        let v1 = downgrade_to_v1(buf);
-        let back = read_pool(&v1[..]).unwrap();
-        assert_eq!(back.fingerprint(), pool.fingerprint());
-    }
-
+    /// Only v2 reads: a future version and v1 (no checksum trailer, so
+    /// nothing could vouch for its bytes) are both format errors.
     #[test]
     fn future_versions_rejected() {
         let (g, table, campaign) = fig1();
         let pool = MrrPool::generate(&g, &table, &campaign, 50, 3);
         let mut buf = Vec::new();
         write_pool(&pool, &mut buf).unwrap();
-        buf[8..12].copy_from_slice(&99u32.to_le_bytes());
+        for version in [99u32, 1] {
+            buf[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = read_pool(&buf[..]).unwrap_err();
+            assert!(matches!(err, PoolIoError::Format(_)), "{err}");
+            assert!(
+                err.to_string().contains(&format!("version {version}")),
+                "{err}"
+            );
+        }
+        // A v1 payload (trailer stripped) fails the same way.
+        buf.truncate(buf.len() - 4);
         let err = read_pool(&buf[..]).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "{err}");
+        assert!(err.to_string().contains("version 1"), "{err}");
     }
 
     #[test]
@@ -344,12 +334,6 @@ mod tests {
         );
         let err = read_pool(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
-        // The same corruption in a v1 file loads silently — exactly the
-        // gap v2 closes.
-        let mut v1 = buf;
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        v1.truncate(v1.len() - 4);
-        assert!(read_pool(&v1[..]).is_ok());
     }
 
     #[test]

@@ -33,8 +33,6 @@
 
 pub mod binio;
 mod edge_prob;
-pub mod interdependent;
-pub mod lt;
 mod mrr;
 mod rr;
 pub mod simulate;

@@ -373,13 +373,6 @@ impl RrPool {
         pool.install(|| Self::generate(graph, probs, theta, seed))
     }
 
-    /// Reassembles a pool from parts (crate-internal; LT generation and
-    /// deserialization).
-    pub(crate) fn from_parts(n: u32, roots: Vec<NodeId>, store: RrStore) -> RrPool {
-        assert_eq!(roots.len(), store.len());
-        RrPool { n, roots, store }
-    }
-
     /// Number of nodes of the underlying graph (the estimator's `n`).
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -447,7 +440,7 @@ fn generate_chunk<P: EdgeProb + ?Sized>(
     seed: u64,
     chunk_index: usize,
 ) -> RrStore {
-    // Same bijective stream derivation as the MRR/LT samplers: the mix of
+    // Same bijective stream derivation as the MRR sampler: the mix of
     // the chunk index can never collapse two chunks (or every chunk, for
     // an adversarial seed) onto one stream.
     let stream = (chunk_index as u64)

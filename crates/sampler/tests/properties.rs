@@ -78,25 +78,6 @@ proptest! {
             }
         }
     }
-
-    /// LT RR sets are reverse walks and the hub estimate is exact on a
-    /// deterministic star.
-    #[test]
-    fn lt_walk_property(seed in 0u64..2_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = oipa_graph::generators::barabasi_albert(&mut rng, 30, 2);
-        let w = oipa_sampler::lt::LtWeights::uniform(&g);
-        let pool = oipa_sampler::lt::generate_lt_pool(&g, &w, 400, seed);
-        for i in 0..pool.theta() {
-            let set = pool.store().set(i);
-            // Walks are simple: no duplicate nodes.
-            let distinct: std::collections::HashSet<_> = set.iter().collect();
-            prop_assert_eq!(distinct.len(), set.len());
-            for pair in set.windows(2) {
-                prop_assert!(g.find_edge(pair[1], pair[0]).is_some());
-            }
-        }
-    }
 }
 
 proptest! {

@@ -83,10 +83,10 @@ use oipa_core::{OipaError, OipaInstance};
 use oipa_graph::{DiGraph, NodeId};
 use oipa_obs::{Counter, Histogram, Registry, Trace};
 use oipa_sampler::{simulate, MrrPool, RrPool};
+use oipa_store::{Ancestor, Fetched};
 use oipa_topics::{Campaign, EdgeTopicProbs, LogisticAdoption};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -131,13 +131,6 @@ pub struct PlannerService {
     /// RR pool, keyed by (θ, seed). Invalidated with the graph. Behind a
     /// mutex so concurrent `im` requests build it exactly once.
     flat_cache: Mutex<Option<FlatPoolCache>>,
-    /// Per-key sampling coordination: the first requester to miss a key
-    /// parks a slot here and samples; concurrent missers for the same key
-    /// block on the slot, then take the sampled pool from it (the slot
-    /// carries the pool itself, so the hand-off works even for oversized
-    /// pools the arena refuses to cache). N concurrent misses ⇒ exactly
-    /// one sampling run.
-    sampling: Mutex<HashMap<PoolKey, Arc<SamplingSlot>>>,
     /// Metric handles into an attached observability registry
     /// ([`Self::attach_obs`]). `OnceLock` so attaching works through a
     /// shared `Arc<PlannerService>`; until attached, instrumentation is
@@ -233,10 +226,6 @@ impl ServiceMetrics {
     }
 }
 
-/// A per-key sampling slot: locked by the thread doing the sampling,
-/// filled with the finished pool for the waiters queued on it.
-type SamplingSlot = Mutex<Option<Arc<MrrPool>>>;
-
 /// How [`PlannerService::resolve_pool`] obtained a request's pool.
 enum PoolOutcome {
     /// Served warm from a store tier — no sampling at all.
@@ -277,7 +266,6 @@ impl PlannerService {
             default_pool: None,
             default_campaign: None,
             flat_cache: Mutex::new(None),
-            sampling: Mutex::new(HashMap::new()),
             obs: OnceLock::new(),
         })
     }
@@ -302,7 +290,6 @@ impl PlannerService {
             default_pool: Some(key),
             default_campaign: None,
             flat_cache: Mutex::new(None),
-            sampling: Mutex::new(HashMap::new()),
             obs: OnceLock::new(),
         }
     }
@@ -717,107 +704,60 @@ impl PlannerService {
         })?;
         let theta = request.theta.unwrap_or(DEFAULT_THETA);
         let key = PoolKey::sampled(campaign_json, theta, seed);
-        // Tiered lookup: memory arena first, then (when attached) the
-        // persistent disk tier — only a miss on both pays for sampling.
-        let lookup_started = Instant::now();
-        let found = self.store.get(&key);
-        self.observe_phase("pool_lookup", lookup_started, trace);
-        if let Some((pool, tier)) = found {
-            return Ok((pool, PoolOutcome::Hit(tier)));
-        }
-        // Miss: coordinate with concurrent missers of the same key so the
-        // sampling runs exactly once. The first thread claims the key's
-        // slot and samples; the rest block on the slot, then re-check the
-        // store and find the finished pool there.
-        let slot = {
-            let mut sampling = lock(&self.sampling);
-            Arc::clone(sampling.entry(key.clone()).or_default())
-        };
-        let mut claimed = lock(&slot);
-        // A filled slot means the thread we waited on finished sampling:
-        // take its pool directly. This hand-off does not depend on the
-        // store accepting the pool, so even an oversized pool (bigger
-        // than the arena budget, never cached) is sampled exactly once.
-        if let Some(pool) = claimed.as_ref() {
-            let pool = Arc::clone(pool);
-            drop(claimed);
-            self.release_slot(&key, &slot);
-            return Ok((pool, PoolOutcome::Hit(PoolTier::Memory)));
-        }
-        // Re-check the store without re-counting the miss (the lookup
-        // above already did): a hit here means an earlier slot-holder
-        // published and already retired its slot before we parked a
-        // fresh one.
-        if let Some((pool, tier)) = self.store.get_recheck(&key) {
-            drop(claimed);
-            self.release_slot(&key, &slot);
-            return Ok((pool, PoolOutcome::Hit(tier)));
-        }
-        // A stale ancestor of this key beats cold resampling: repair it
-        // (resample only the delta-killed RR sets) instead. The repaired
+        // One store fetch: memory, then disk, then — once across
+        // concurrent requests for the key — repair of a stale ancestor,
+        // or cold sampling when there is none to repair. The repaired
         // pool is bitwise identical to a cold sample at the current
-        // epoch, so waiters on the slot can't tell the difference.
-        if let Some((pool, repair)) = self.try_repair(&key, &campaign, seed, trace) {
-            *claimed = Some(Arc::clone(&pool));
-            drop(claimed);
-            self.release_slot(&key, &slot);
-            return Ok((pool, PoolOutcome::Repaired(repair)));
-        }
-        let sampling_started = Instant::now();
-        let sampled = self.sample_pool(&campaign, theta, seed);
-        self.observe_phase("sampling", sampling_started, trace);
-        if let Ok(pool) = &sampled {
-            // Publish to the store AND fill the slot before releasing it:
-            // a waiter must find the pool the moment it unblocks, with or
-            // without the arena agreeing to cache it.
-            self.store.insert(key.clone(), Arc::clone(pool));
-            *claimed = Some(Arc::clone(pool));
-        }
-        drop(claimed);
-        self.release_slot(&key, &slot);
-        Ok((sampled?, PoolOutcome::Sampled))
+        // epoch, so requests served either way can't tell the
+        // difference.
+        let lookup_started = Instant::now();
+        let (pool, fetched) = self.store.fetch(&key, |ancestor| {
+            self.observe_phase("pool_lookup", lookup_started, trace);
+            if let Some(repaired) = ancestor.and_then(|a| self.repair(a, &campaign, seed, trace)) {
+                return Ok(repaired);
+            }
+            let sampling_started = Instant::now();
+            let sampled = self.sample_pool(&campaign, theta, seed);
+            self.observe_phase("sampling", sampling_started, trace);
+            Ok((sampled?, PoolOutcome::Sampled))
+        })?;
+        let outcome = match fetched {
+            Fetched::Hit(tier) => {
+                self.observe_phase("pool_lookup", lookup_started, trace);
+                PoolOutcome::Hit(tier)
+            }
+            Fetched::Populated(outcome) => outcome,
+        };
+        Ok((pool, outcome))
     }
 
-    /// Attempts a delta repair for a missed key: finds a stale ancestor
-    /// in either store tier, resamples only the RR sets whose walks
-    /// crossed a dirty target, and re-inserts the result at the current
-    /// epoch. `None` when there is nothing stale under the key (or the
-    /// session has no lineage/graph to repair against) — the caller
-    /// samples cold.
-    fn try_repair(
+    /// Delta-repairs a stale ancestor of a missed key: resamples only the
+    /// RR sets whose walks crossed a dirty target since the ancestor's
+    /// epoch. `None` when the session has no lineage or graph to repair
+    /// against, or the ancestor is not older than the current epoch —
+    /// the caller samples cold.
+    fn repair(
         &self,
-        key: &PoolKey,
+        (stale, epoch): Ancestor,
         campaign: &Campaign,
         seed: u64,
         trace: Option<&Trace>,
-    ) -> Option<(Arc<MrrPool>, PoolRepair)> {
+    ) -> Option<(Arc<MrrPool>, PoolOutcome)> {
         let lineage = self.lineage.as_ref()?;
-        let current = lineage.epoch();
-        if current == 0 {
-            return None;
-        }
         let (graph, table) = (self.graph.as_ref()?, self.table.as_ref()?);
-        let (stale, epoch, _tier) = self.store.get_any(key)?;
         // Accumulated invalidation frontier from the pool's epoch to now.
         let dirty = self.dirty_since(epoch)?;
         let started = Instant::now();
         let (pool, outcome) = stale.repaired(graph, table, campaign, &dirty, seed).ok()?;
-        drop(stale);
-        let pool = Arc::new(pool);
-        // Re-insert under the same key: the store stamps the current
-        // epoch and rewrites the disk payload in place.
-        self.store.insert(key.clone(), Arc::clone(&pool));
         self.observe_phase("repair", started, trace);
-        Some((
-            pool,
-            PoolRepair {
-                from_epoch: epoch,
-                to_epoch: current,
-                sets_total: outcome.sets_total,
-                sets_resampled: outcome.sets_resampled,
-                seconds: started.elapsed().as_secs_f64(),
-            },
-        ))
+        let repair = PoolRepair {
+            from_epoch: epoch,
+            to_epoch: lineage.epoch(),
+            sets_total: outcome.sets_total,
+            sets_resampled: outcome.sets_resampled,
+            seconds: started.elapsed().as_secs_f64(),
+        };
+        Some((Arc::new(pool), PoolOutcome::Repaired(repair)))
     }
 
     /// The union of every dirty-target set from `epoch` (exclusive of
@@ -833,20 +773,6 @@ impl PlannerService {
         dirty.sort_unstable();
         dirty.dedup();
         Some(dirty)
-    }
-
-    /// Unmaps a sampling slot once its holder is done with the key —
-    /// after publishing, after a waiter found the published pool, and
-    /// after errors (so a later, possibly fixed, request retries instead
-    /// of finding a stale slot). Only the slot the caller actually
-    /// claimed may be removed: after a sampling error another thread can
-    /// have parked a fresh slot under the same key, and deleting *that*
-    /// would let a third thread start a duplicate sampling run.
-    fn release_slot(&self, key: &PoolKey, slot: &Arc<SamplingSlot>) {
-        let mut sampling = lock(&self.sampling);
-        if sampling.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
-            sampling.remove(key);
-        }
     }
 
     /// Samples a pool for a campaign (the cache-miss slow path).

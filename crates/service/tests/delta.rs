@@ -9,6 +9,7 @@ use oipa_service::{EdgeChange, GraphDelta, Method, PlannerService, SolveRequest,
 use oipa_topics::EdgeTopicProbs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Barrier;
 
 fn random_row(rng: &mut StdRng, topic_count: usize) -> Vec<TopicProb> {
     let topic = rng.gen_range(0..topic_count) as u16;
@@ -148,6 +149,48 @@ fn delta_repaired_answers_match_cold_service_one_thread() {
 #[test]
 fn delta_repaired_answers_match_cold_service_four_threads() {
     run_against_cold(23, 4, 1);
+}
+
+/// Repair runs under the same once-per-key guard as sampling: after a
+/// delta, N concurrent solves of the stale key repair it once — exactly
+/// one response carries `pool_repair`, the rest take the repaired pool —
+/// and every answer is identical.
+#[test]
+fn concurrent_solves_of_a_stale_key_repair_it_once() {
+    const THREADS: usize = 6;
+    let mut rng = StdRng::seed_from_u64(31);
+    let (graph, table) = instance();
+    let request = request();
+    let mut service = PlannerService::new(graph.clone(), table).unwrap();
+    service.solve(&request).unwrap();
+    let delta = random_delta(&mut rng, &graph, 4);
+    service.apply_delta(&delta).unwrap();
+
+    let barrier = Barrier::new(THREADS);
+    let responses: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    service.solve(&request).unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let repairs = responses.iter().filter(|r| r.pool_repair.is_some()).count();
+    assert_eq!(repairs, 1, "the stale pool was repaired more than once");
+    assert!(responses
+        .iter()
+        .all(|r| r.pool_repair.is_some() != r.pool_cache_hit));
+    for r in &responses[1..] {
+        assert_eq!(r.plan, responses[0].plan, "concurrent answers diverged");
+        assert_eq!(r.utility.to_bits(), responses[0].utility.to_bits());
+        assert_eq!(
+            r.upper_bound.map(f64::to_bits),
+            responses[0].upper_bound.map(f64::to_bits)
+        );
+    }
 }
 
 #[test]

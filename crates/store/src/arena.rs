@@ -230,34 +230,25 @@ impl PoolArena {
         }
     }
 
-    /// [`Self::get`] for double-check paths: the caller's immediately
-    /// preceding `get` on this key already recorded the miss, so a miss
-    /// here counts nothing — only a hit (another thread raced the pool
-    /// in) records a lookup. Keeps one logical request at one counted
-    /// miss, whatever the interleaving.
-    pub fn get_recheck(&self, key: &PoolKey) -> Option<Arc<MrrPool>> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| &e.key == key)
-            .filter(|e| self.servable(e))?;
-        let clock = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        entry.last_used.store(clock, Ordering::Relaxed);
-        entry.uses.fetch_add(1, Ordering::Relaxed);
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&entry.pool))
-    }
-
-    /// Fetches a pool **at whatever epoch it carries** — the delta-repair
-    /// retrieval path. Counts no lookup (the serving `get` that preceded
-    /// it already recorded the miss); refreshes recency so the entry is
-    /// not evicted out from under the repair it is about to feed.
+    /// Fetches a pool **at whatever epoch it carries**, with that epoch
+    /// (pinned pools, epoch-exempt, report the current one) — the second
+    /// look a caller takes after a counted [`Self::get`] miss, and the
+    /// delta-repair retrieval path. A servable entry counts as a hit: the
+    /// key's miss is already counted and the pool turned up after all. A
+    /// stale or absent entry counts nothing. Recency is refreshed either
+    /// way, so a stale entry is not evicted out from under the repair it
+    /// is about to feed.
     pub fn get_any(&self, key: &PoolKey) -> Option<(Arc<MrrPool>, u64)> {
         let entry = self.entries.iter().find(|e| &e.key == key)?;
         let clock = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         entry.last_used.store(clock, Ordering::Relaxed);
-        Some((Arc::clone(&entry.pool), entry.epoch))
+        if !self.servable(entry) {
+            return Some((Arc::clone(&entry.pool), entry.epoch));
+        }
+        entry.uses.fetch_add(1, Ordering::Relaxed);
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some((Arc::clone(&entry.pool), self.current_epoch()))
     }
 
     /// Inserts (or replaces) a pool, then evicts least-recently-used
@@ -270,7 +261,10 @@ impl PoolArena {
 
     /// [`Self::insert`], returning the entries eviction removed — and the
     /// pool a same-key replace displaced — so a tiered store can spill
-    /// them to disk instead of losing them.
+    /// them to disk instead of losing them. Only entries at the current
+    /// epoch are returned: a spill stamps the current epoch, so a stale
+    /// pool spilled would serve as fresh. Stale entries are dropped (a
+    /// disk copy written before the epoch advanced stays repairable).
     pub fn insert_evicting(
         &mut self,
         key: PoolKey,
@@ -320,7 +314,9 @@ impl PoolArena {
             uses += old.uses.load(Ordering::Relaxed);
             if !old.pinned {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                evicted.push((old.key, old.pool));
+                if self.servable(&old) {
+                    evicted.push((old.key, old.pool));
+                }
             }
         }
         self.entries.push(ArenaEntry {
@@ -342,7 +338,8 @@ impl PoolArena {
     /// just inserted). Candidates are offered to the policy in entry
     /// order, so [`crate::eviction::Lru`]'s first-on-ties choice matches
     /// the pre-policy arena's victim order exactly. Returns the evicted
-    /// entries in eviction order.
+    /// entries at the current epoch, in eviction order (see
+    /// [`Self::insert_evicting`] for why stale ones are not returned).
     fn enforce_budget(&mut self, protect: Option<u64>) -> Vec<(PoolKey, Arc<MrrPool>)> {
         let mut evicted = Vec::new();
         while self.resident_bytes > self.capacity_bytes {
@@ -372,7 +369,9 @@ impl PoolArena {
             let entry = self.entries.remove(candidates[choice].0);
             self.resident_bytes -= entry.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            evicted.push((entry.key, entry.pool));
+            if self.servable(&entry) {
+                evicted.push((entry.key, entry.pool));
+            }
         }
         evicted
     }
@@ -708,17 +707,21 @@ mod tests {
 
         arena.set_current_epoch(1);
         assert!(arena.get(&ks).is_none(), "stale entry must not serve");
-        assert!(arena.get_recheck(&ks).is_none());
         assert!(arena.get(&kp).is_some(), "pinned entry is epoch-exempt");
         let stats = arena.stats();
         assert_eq!(stats.entries, 2, "stale entries stay resident");
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.lookups, stats.hits + stats.misses);
 
-        // The repair path still reaches it, with its stamped epoch.
+        // The repair path still reaches it, with its stamped epoch, and
+        // counts nothing; the pin reports the current epoch and counts a
+        // hit.
         let (back, epoch) = arena.get_any(&ks).expect("stale entry retrievable");
         assert_eq!(epoch, 0);
         assert_eq!(back.fingerprint(), p.fingerprint());
+        assert_eq!(arena.stats().lookups, stats.lookups);
+        assert_eq!(arena.get_any(&kp).map(|(_, e)| e), Some(1));
+        assert_eq!(arena.stats().hits, stats.hits + 1);
 
         // Re-inserting (a repaired pool) stamps the current epoch and
         // makes the key servable again.

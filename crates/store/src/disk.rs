@@ -38,11 +38,10 @@
 //! affected regions, copying live entries into fresh packs and
 //! reclaiming the rest — reported per region.
 //!
-//! A v1 store directory (one `pool-*.mrr` segment per key) migrates
-//! transparently: the first open repacks every verified segment into
-//! regions and only removes the originals after the v2 manifest commit,
-//! so a committed pool is never lost — a segment that cannot be packed
-//! is indexed in place as a single-entry region instead.
+//! A v1 store directory (one `pool-*.mrr` segment per key) is not
+//! read: its manifest takes the unsupported-version path (quarantined,
+//! the tier starts empty) and its segments are quarantined as orphans.
+//! The store is a cache, so those keys resample bitwise-identically.
 //!
 //! All filesystem access goes through the [`crate::io::StoreIo`] seam,
 //! so tests can inject ENOSPC, torn appends, rename loss, and crash
@@ -68,8 +67,6 @@ const MANIFEST_VERSION: u32 = 3;
 /// fingerprint becomes a one-entry lineage and every entry loads at
 /// epoch 0).
 const MANIFEST_VERSION_V2: u32 = 2;
-/// The file-per-key schema (repacked into regions on first open).
-const MANIFEST_VERSION_V1: u32 = 1;
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "index.json";
 /// Quarantine subdirectory name.
@@ -78,7 +75,7 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 pub const REGION_PREFIX: &str = "region-";
 /// Region file suffix.
 pub const REGION_SUFFIX: &str = ".dat";
-/// Legacy v1 segment prefix/suffix (recognized for migration + sweeps).
+/// Legacy v1 segment prefix/suffix (sweeps quarantine them as orphans).
 const SEGMENT_PREFIX: &str = "pool-";
 const SEGMENT_SUFFIX: &str = ".mrr";
 const TMP_PREFIX: &str = ".tmp-";
@@ -235,25 +232,6 @@ impl From<ManifestV2> for Manifest {
     }
 }
 
-/// The v1 manifest (file-per-key segments), read only for migration.
-#[derive(Debug, Deserialize)]
-struct ManifestV1 {
-    #[allow(dead_code)]
-    version: u32,
-    instance: u64,
-    clock: u64,
-    entries: Vec<ManifestEntryV1>,
-}
-
-#[derive(Debug, Deserialize)]
-struct ManifestEntryV1 {
-    key: PoolKey,
-    file: String,
-    bytes: u64,
-    crc: u32,
-    last_used: u64,
-}
-
 /// What [`DiskTier::open`] had to repair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct OpenReport {
@@ -268,8 +246,6 @@ pub struct OpenReport {
     pub quarantined: usize,
     /// Stale temp files removed.
     pub stale_temps: usize,
-    /// v1 segments repacked into regions by transparent migration.
-    pub migrated: usize,
     /// Regions truncated back to their committed watermark (torn,
     /// unacked appends trimmed away).
     pub trimmed_regions: usize,
@@ -367,15 +343,13 @@ pub struct GcReport {
     pub kept: usize,
 }
 
-/// Which flavour of lookup a disk read serves.
+/// Which entries a disk read may return.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lookup {
     /// A serving lookup: current-epoch entries only; a miss counts.
     Get,
-    /// A double-check after a counted miss: a re-miss counts nothing.
-    Recheck,
-    /// The delta-repair path: an entry at any epoch; a miss counts
-    /// nothing.
+    /// The stale-ancestor lookup for delta repair: an entry at any
+    /// epoch; a miss counts nothing.
     AnyEpoch,
 }
 
@@ -472,10 +446,9 @@ impl DiskTier {
     /// to their committed watermark (torn appends trimmed), entries
     /// whose region vanished or shrank are dropped, files the manifest
     /// does not know are quarantined, stale temp files are removed, and
-    /// the byte budget is enforced. A v1 (file-per-key) directory is
-    /// transparently repacked into regions — originals are removed only
-    /// after the v2 manifest commits, so a committed pool is never lost.
-    /// Corruption never fails the open — it is repaired and reported in
+    /// the byte budget is enforced. A manifest of any other schema than
+    /// v3 or v2 is quarantined like a corrupt one. Corruption never
+    /// fails the open — it is repaired and reported in
     /// [`DiskTier::open_report`]. Neither do repair-write failures (a
     /// read-only or full disk): the affected entries are dropped from
     /// the index and the tier opens **degraded** (see
@@ -496,7 +469,6 @@ impl DiskTier {
         let mut health = TierHealth::new();
 
         let manifest_path = dir.join(MANIFEST_FILE);
-        let mut migrated_sources: Vec<String> = Vec::new();
         let mut manifest = match io.read(&manifest_path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Manifest::fresh(),
             Err(e) => return Err(io_err(format!("reading {}", manifest_path.display()), e)),
@@ -518,32 +490,16 @@ impl DiskTier {
                             .map(Manifest::from)
                             .map_err(|e| e.to_string())
                     }
-                    Some(v) if v == u64::from(MANIFEST_VERSION_V1) => {
-                        match serde_json::from_str::<ManifestV1>(&text) {
-                            Ok(v1) => {
-                                let (m, sources) = migrate_v1(
-                                    io.as_ref(),
-                                    &dir,
-                                    region_bytes,
-                                    v1,
-                                    &mut health,
-                                    &mut report,
-                                );
-                                migrated_sources = sources;
-                                Ok(m)
-                            }
-                            Err(e) => Err(e.to_string()),
-                        }
-                    }
                     Some(v) => Err(format!("unsupported manifest version {v}")),
                     None => Err("manifest is not a JSON object with a version".to_string()),
                 };
                 match parsed {
                     Ok(m) => m,
                     Err(reason) => {
-                        // Unreadable or future-versioned: set the manifest
-                        // aside and start empty; its files become orphans
-                        // below. Never serve entries we cannot trust.
+                        // Unreadable, retired (v1) or future-versioned: set
+                        // the manifest aside and start empty; its files
+                        // become orphans below. Never serve entries we
+                        // cannot trust.
                         if let Err(e) = quarantine_file(io.as_ref(), &dir, MANIFEST_FILE, &reason) {
                             health.record_error(format!("quarantining corrupt manifest: {e}"));
                         }
@@ -607,8 +563,7 @@ impl DiskTier {
         // Sweep the directory: stale temps go away, unknown regions and
         // legacy segments are quarantined (without a manifest row their
         // keys are unknowable — the campaign JSON lives only in the
-        // manifest). Freshly migrated v1 sources are skipped: they are
-        // removed after the v2 manifest commits, below.
+        // manifest).
         let listing = io
             .list(&dir)
             .map_err(|e| io_err(format!("listing store dir {}", dir.display()), e))?;
@@ -623,9 +578,7 @@ impl DiskTier {
             if !region_like && !segment_like {
                 continue;
             }
-            if manifest.regions.iter().any(|r| r.file == name)
-                || migrated_sources.iter().any(|s| s == &name)
-            {
+            if manifest.regions.iter().any(|r| r.file == name) {
                 continue;
             }
             let reason = if region_like {
@@ -673,23 +626,11 @@ impl DiskTier {
             stale_dropped: 0,
         };
         tier.enforce_budget(None);
-        match tier.persist() {
-            Ok(()) => {
-                // The v2 manifest is committed: the migrated v1 segments
-                // are now redundant copies. Best-effort removal — a
-                // leftover is quarantined as an orphan by a later open.
-                for source in &migrated_sources {
-                    let _ = tier.io.remove(&tier.dir.join(source));
-                }
-            }
-            Err(_) => {
-                // A store on a read-only/full disk still opens: it serves
-                // the recovered index (degraded — no new writes) and
-                // re-persists once the reopen probe succeeds. Migrated
-                // sources stay put: the on-disk manifest may still be v1,
-                // and re-migration from intact sources is safe.
-                tier.dirty = true;
-            }
+        if tier.persist().is_err() {
+            // A store on a read-only/full disk still opens: it serves the
+            // recovered index (degraded — no new writes) and re-persists
+            // once the reopen probe succeeds.
+            tier.dirty = true;
         }
         Ok(tier)
     }
@@ -783,17 +724,6 @@ impl DiskTier {
     /// The tier's current health (see [`TierHealth`]).
     pub fn health(&self) -> TierHealthSnapshot {
         self.health.snapshot()
-    }
-
-    /// Compat wrapper over [`DiskTier::set_lineage`]: a single
-    /// fingerprint is a root-only lineage (a cold instance load with no
-    /// delta history).
-    pub fn set_instance(&mut self, fingerprint: u64) -> StoreResult<bool> {
-        if fingerprint == 0 {
-            self.set_lineage(&[])
-        } else {
-            self.set_lineage(&[fingerprint])
-        }
     }
 
     /// Records the fingerprint chain of the (graph, table) this tier
@@ -921,17 +851,9 @@ impl DiskTier {
         self.lookup(key, Lookup::Get).map(|(pool, _)| pool)
     }
 
-    /// [`Self::get`] for double-check paths: the caller's immediately
-    /// preceding `get` already recorded this key's miss, so a re-miss
-    /// counts nothing (hits — and the work they do — count normally).
-    pub fn get_recheck(&mut self, key: &PoolKey) -> Option<MrrPool> {
-        self.lookup(key, Lookup::Recheck).map(|(pool, _)| pool)
-    }
-
     /// Fetches a pool **at whatever epoch it carries**, with that epoch —
-    /// the delta-repair retrieval path. The payload is CRC-verified
-    /// exactly like a serving read; a re-miss counts nothing (the
-    /// caller's serving `get` already recorded it).
+    /// the disk half of [`crate::PoolStore::get_any`]. The payload is
+    /// CRC-verified exactly like a serving read; a miss counts nothing.
     pub fn get_any(&mut self, key: &PoolKey) -> Option<(MrrPool, u64)> {
         self.lookup(key, Lookup::AnyEpoch)
     }
@@ -1708,122 +1630,6 @@ impl Drop for DiskTier {
     }
 }
 
-/// Repacks a v1 (file-per-key) manifest into regions: every segment is
-/// read back, verified, and appended into fresh region files; the v2
-/// manifest it returns references the packs. Returns the successfully
-/// packed source files — the caller removes them only *after* the v2
-/// manifest commits, so a crash mid-migration re-runs from intact
-/// sources. A segment that cannot be packed (sick disk) is indexed in
-/// place as a single-entry region — a committed pool is never lost;
-/// one that fails verification is quarantined, never served.
-fn migrate_v1(
-    io: &dyn StoreIo,
-    dir: &Path,
-    region_bytes: u64,
-    v1: ManifestV1,
-    health: &mut TierHealth,
-    report: &mut OpenReport,
-) -> (Manifest, Vec<String>) {
-    let mut manifest = Manifest {
-        version: MANIFEST_VERSION,
-        lineage: if v1.instance == 0 {
-            Vec::new()
-        } else {
-            vec![v1.instance]
-        },
-        clock: v1.clock,
-        eviction: "lru".to_string(),
-        purges: 0,
-        last_purge: None,
-        regions: Vec::new(),
-        entries: Vec::new(),
-    };
-    let mut sources = Vec::new();
-    let mut next_id: u64 = 1;
-    for e in v1.entries {
-        let data = match io.read(&dir.join(&e.file)) {
-            Ok(d) => d,
-            Err(err) => {
-                // Unreadable on a sick disk: leave the file where it is
-                // (the sweep quarantines it, preserving the bytes) and
-                // degrade rather than guess.
-                health.record_error(format!("migrating {}: {err}", e.file));
-                continue;
-            }
-        };
-        if data.len() as u64 != e.bytes || read_pool(&data[..]).is_err() {
-            if let Err(err) = quarantine_file(io, dir, &e.file, "v1 migration: failed verification")
-            {
-                health.record_error(format!("quarantining {}: {err}", e.file));
-            }
-            report.quarantined += 1;
-            continue;
-        }
-        let bytes = e.bytes;
-        let fits = manifest
-            .regions
-            .last()
-            .is_some_and(|r| r.committed == 0 || r.committed + bytes <= region_bytes);
-        if !fits {
-            let file = loop {
-                let name = format!("{REGION_PREFIX}{next_id:08x}{REGION_SUFFIX}");
-                next_id += 1;
-                if !io.exists(&dir.join(&name)) {
-                    break name;
-                }
-            };
-            manifest.regions.push(RegionRow {
-                file,
-                committed: 0,
-                last_used: 0,
-            });
-        }
-        let row_idx = manifest.regions.len() - 1;
-        let target = manifest.regions[row_idx].file.clone();
-        let tpath = dir.join(&target);
-        match io.append(&tpath, &data).and_then(|()| io.sync(&tpath)) {
-            Ok(()) => {
-                let row = &mut manifest.regions[row_idx];
-                manifest.entries.push(ManifestEntry {
-                    key: e.key,
-                    file: target,
-                    offset: row.committed,
-                    bytes,
-                    crc: e.crc,
-                    last_used: e.last_used,
-                    epoch: 0,
-                });
-                row.committed += bytes;
-                row.last_used = row.last_used.max(e.last_used);
-                report.migrated += 1;
-                sources.push(e.file);
-            }
-            Err(err) => {
-                health.record_error(format!("packing {} into {target}: {err}", e.file));
-                // Fall back: the v1 segment is itself a valid one-entry
-                // region. Index it in place — never lose a committed
-                // pool to a disk that cannot take the copy.
-                manifest.regions.push(RegionRow {
-                    file: e.file.clone(),
-                    committed: bytes,
-                    last_used: e.last_used,
-                });
-                manifest.entries.push(ManifestEntry {
-                    key: e.key,
-                    file: e.file,
-                    offset: 0,
-                    bytes,
-                    crc: e.crc,
-                    last_used: e.last_used,
-                    epoch: 0,
-                });
-                report.migrated += 1;
-            }
-        }
-    }
-    (manifest, sources)
-}
-
 /// How many leading fingerprints two lineages agree on. 0 means the
 /// chains share no root: pools from one must never serve (or be
 /// repaired into) the other.
@@ -1831,8 +1637,7 @@ pub(crate) fn common_prefix(a: &[u64], b: &[u64]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
-/// Parses the id out of a `region-{id:08x}.dat` file name (`None` for
-/// legacy segments indexed in place as regions).
+/// Parses the id out of a `region-{id:08x}.dat` file name.
 fn region_id(file: &str) -> Option<u64> {
     let hex = file
         .strip_prefix(REGION_PREFIX)?

@@ -21,8 +21,13 @@
 //!   byte budget and LRU eviction. Entries evicted from memory spill
 //!   here; an arena miss consults disk before anyone resamples;
 //!   reopening the directory after a restart serves yesterday's pools at
-//!   disk speed. A v1 (file-per-key) directory migrates transparently on
-//!   first open.
+//!   disk speed.
+//!
+//! [`PoolStore::fetch`] is the one way to resolve a pool: memory, then
+//! (under the key's in-flight guard) memory again, disk, and finally the
+//! caller's `populate` step — handed any stale ancestor of the key to
+//! repair — whose pool the store inserts. [`PoolStore::get`] is the same
+//! path without the populate step.
 //!
 //! Concurrency: every cache operation takes `&self` — [`PoolStore`] is
 //! `Send + Sync`, so one store can sit behind an `Arc` and serve any
@@ -34,12 +39,13 @@
 //! file writes (puts and spills). A disk hit holds that lock only to
 //! find its entry and read the bytes, and again to settle the outcome;
 //! the CRC check and decode — most of a disk hit's cost — run outside
-//! it, so lookups of different cold keys decode in parallel. Lookups of
-//! the *same* cold key queue on a per-key in-flight guard instead, and
-//! every racer after the first takes the promoted pool from memory: one
-//! decode per cold key. Lock order is always in-flight guard → disk tier
-//! → arena shard lock, and no shard lock is ever held while acquiring the
-//! disk lock, so none of them can deadlock.
+//! it, so lookups of different cold keys decode in parallel. Fetches of
+//! the *same* cold key queue on one per-key in-flight guard, held across
+//! the disk read and the populate step: every racer after the first
+//! takes the pool the first one promoted into memory or populated, so a
+//! cold key is decoded or populated once. Lock order is always in-flight
+//! guard → disk tier → arena shard lock, and no shard lock is ever held
+//! while acquiring the disk lock, so none of them can deadlock.
 //!
 //! Durability rules: pool payloads are appended to the newest region and
 //! synced, then committed by an atomic temp+sync+rename manifest rewrite
@@ -75,13 +81,14 @@
 //! through [`StoreStats::disk_health`] and [`StatsSnapshot`].
 //!
 //! ```
-//! use oipa_store::{PoolKey, PoolStore, PoolTier, StoreConfig};
+//! use oipa_sampler::MrrPool;
+//! use oipa_store::{Fetched, PoolKey, PoolStore, PoolTier, StoreConfig};
 //! use std::sync::Arc;
 //!
 //! let dir = std::env::temp_dir().join("oipa-store-doc");
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let (g, table, campaign) = oipa_sampler::testkit::fig1();
-//! let pool = Arc::new(oipa_sampler::MrrPool::generate(&g, &table, &campaign, 500, 7));
+//! let pool = Arc::new(MrrPool::generate(&g, &table, &campaign, 500, 7));
 //! let key = PoolKey::sampled("doc".into(), 500, 7);
 //!
 //! // Write-through: the insert lands in memory AND on disk. Note the
@@ -96,6 +103,16 @@
 //! let (back, tier) = reopened.get(&key).unwrap();
 //! assert_eq!(tier, PoolTier::Disk);
 //! assert_eq!(back.fingerprint(), pool.fingerprint());
+//!
+//! // A key no tier holds is populated once, then served.
+//! let other = PoolKey::sampled("doc".into(), 500, 8);
+//! let (_, fetched) = reopened
+//!     .fetch(&other, |_ancestor| -> Result<_, ()> {
+//!         Ok((Arc::new(MrrPool::generate(&g, &table, &campaign, 500, 8)), "sampled"))
+//!     })
+//!     .unwrap();
+//! assert_eq!(fetched, Fetched::Populated("sampled"));
+//! assert!(matches!(reopened.get(&other), Some((_, PoolTier::Memory))));
 //! ```
 
 #![deny(missing_docs)]
@@ -228,7 +245,7 @@ impl StoreConfig {
     }
 }
 
-/// Which tier answered a [`PoolStore::get`].
+/// Which tier answered a [`PoolStore::get`] or [`PoolStore::fetch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolTier {
     /// Tier 0: the in-memory arena.
@@ -252,6 +269,22 @@ impl std::fmt::Display for PoolTier {
         f.write_str(self.name())
     }
 }
+
+/// How [`PoolStore::fetch`] resolved a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetched<R> {
+    /// Served by a tier. A pool handed over from a concurrent fetch's
+    /// populate step counts as a memory hit.
+    Hit(PoolTier),
+    /// This call's populate step built the pool; carries what it
+    /// returned beside the pool.
+    Populated(R),
+}
+
+/// A stale ancestor of a key, handed to [`PoolStore::fetch`]'s populate
+/// step: the pool cached under the key at an older lineage epoch, and
+/// that epoch.
+pub type Ancestor = (Arc<MrrPool>, u64);
 
 /// Combined occupancy/counter snapshot of both tiers.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -337,11 +370,13 @@ pub struct PoolStore {
     /// and to settle the outcome, but not while verifying and decoding
     /// them (see [`Self::settle_disk`]).
     disk: Option<Mutex<DiskTier>>,
-    /// Per-key in-flight disk lookups: the first thread to reach the
-    /// disk for a key parks a guard here; concurrent lookups of the key
-    /// queue on it, then re-check memory, where the first one promoted
-    /// the pool. N concurrent cold lookups ⇒ one decode.
-    disk_reads: Mutex<HashMap<PoolKey, Arc<ReadSlot>>>,
+    /// Per-key in-flight guards, the one place concurrent fetches of a
+    /// key meet: the first fetch to miss memory parks a slot here and
+    /// holds it across the disk read and the populate step; concurrent
+    /// fetches of the key queue on it, then take the populated pool from
+    /// the slot (oversized pools included) or the promoted one from
+    /// memory. N concurrent cold fetches ⇒ one decode or one populate.
+    in_flight: Mutex<HashMap<PoolKey, Arc<Slot>>>,
     /// The store's view of the instance-fingerprint chain (kept even on
     /// memory-only stores, where there is no manifest to record it).
     /// Lock order: this lock → disk lock → shard lock; only
@@ -363,7 +398,7 @@ impl PoolStore {
         PoolStore {
             arena: ShardedArena::new(mem_bytes, shards, eviction),
             disk: None,
-            disk_reads: Mutex::new(HashMap::new()),
+            in_flight: Mutex::new(HashMap::new()),
             lineage: Mutex::new(Vec::new()),
             write_through: false,
         }
@@ -438,17 +473,6 @@ impl PoolStore {
         self.disk.as_ref().map(|d| lock(d))
     }
 
-    /// Compat wrapper over [`Self::set_lineage`]: a single fingerprint
-    /// is a root-only lineage (a cold instance load with no delta
-    /// history).
-    pub fn set_instance(&self, fingerprint: u64) -> StoreResult<bool> {
-        if fingerprint == 0 {
-            self.set_lineage(&[])
-        } else {
-            self.set_lineage(&[fingerprint])
-        }
-    }
-
     /// Ties both tiers to an instance-fingerprint chain (see
     /// [`DiskTier::set_lineage`] for the reconciliation rules). On the
     /// memory tier: a shared root keeps resident pools — entries at the
@@ -491,83 +515,113 @@ impl PoolStore {
         self.arena.current_epoch()
     }
 
-    /// Looks up a pool: memory first, then disk. A disk hit is promoted
-    /// into the memory tier (evicted entries spill back out), so repeat
-    /// lookups of a hot key stay at memory speed.
+    /// Resolves a pool, populating it when no tier holds it. The steps:
+    ///
+    /// 1. memory lookup;
+    /// 2. the key's in-flight guard: a concurrent fetch that populated
+    ///    the key while this one queued hands its pool over;
+    /// 3. memory again (a racer may have promoted or inserted the pool);
+    /// 4. disk: read under the tier lock, verify and decode outside it,
+    ///    settle under it (a hit is promoted into memory);
+    /// 5. the key's stale ancestor at any epoch, memory then disk;
+    /// 6. `populate(ancestor)`, run exactly once across concurrent
+    ///    fetches of the key.
+    ///
+    /// The pool `populate` returns is inserted like any [`Self::insert`]
+    /// (write-through, spills, oversized pools persisted but not cached)
+    /// and put in the guard's slot before the guard is released, so
+    /// queued fetches take it and never populate again. A `populate`
+    /// error is returned as is and leaves no guard behind: the next
+    /// fetch of the key populates afresh. `populate` runs under the key's
+    /// guard and must not fetch.
+    pub fn fetch<R, E>(
+        &self,
+        key: &PoolKey,
+        populate: impl FnOnce(Option<Ancestor>) -> Result<(Arc<MrrPool>, R), E>,
+    ) -> Result<(Arc<MrrPool>, Fetched<R>), E> {
+        self.resolve(
+            key,
+            |pool, tier| Ok((pool, Fetched::Hit(tier))),
+            |slot| {
+                let ancestor = self.get_any(key).map(|(pool, epoch, _)| (pool, epoch));
+                let (pool, made) = populate(ancestor)?;
+                self.insert(key.clone(), Arc::clone(&pool));
+                *slot = Some(Arc::clone(&pool));
+                Ok((pool, Fetched::Populated(made)))
+            },
+        )
+    }
+
+    /// Looks up a pool: [`Self::fetch`] without steps 5 and 6. A disk hit
+    /// is promoted into the memory tier (evicted entries spill back
+    /// out), so repeat lookups of a hot key stay at memory speed.
     pub fn get(&self, key: &PoolKey) -> Option<(Arc<MrrPool>, PoolTier)> {
-        if let Some(pool) = self.arena.get(key) {
-            return Some((pool, PoolTier::Memory));
-        }
-        let (pool, _, tier) = self.get_from_disk(key, Lookup::Get)?;
-        Some((pool, tier))
+        self.resolve(key, |pool, tier| Some((pool, tier)), |_| None)
     }
 
-    /// [`Self::get`] for double-check paths (the caller just missed on
-    /// this key and has since held a coordination lock): hits — and the
-    /// work they do — count normally, but a re-miss counts nothing on
-    /// either tier (the preceding `get` already recorded it), so stats
-    /// stay one-miss-per-request whatever the interleaving.
-    pub fn get_recheck(&self, key: &PoolKey) -> Option<(Arc<MrrPool>, PoolTier)> {
-        if let Some(pool) = self.arena.get_recheck(key) {
-            return Some((pool, PoolTier::Memory));
-        }
-        let (pool, _, tier) = self.get_from_disk(key, Lookup::Recheck)?;
-        Some((pool, tier))
-    }
-
-    /// Fetches a pool **at whatever epoch it carries** — the delta-repair
-    /// retrieval path, for callers that know the dirty history between
-    /// the returned epoch and the head and can repair the pool forward.
-    /// Memory first, then disk (CRC-verified like any disk read). No
-    /// promotion and no lookup counting: the caller repairs and
-    /// re-inserts at the current epoch immediately, which is the write
-    /// that lands the repaired pool in both tiers.
+    /// Fetches a pool **at whatever epoch it carries** — the stale
+    /// lookup of [`Self::fetch`]'s step 5, for callers that know the
+    /// dirty history between the returned epoch and the head and can
+    /// repair the pool forward. Memory first, then disk (CRC-verified
+    /// like any disk read). No promotion, and a miss counts nothing: the
+    /// caller repairs and re-inserts at the current epoch, which is the
+    /// write that lands the repaired pool in both tiers.
     pub fn get_any(&self, key: &PoolKey) -> Option<(Arc<MrrPool>, u64, PoolTier)> {
         if let Some((pool, epoch)) = self.arena.get_any(key) {
             return Some((pool, epoch, PoolTier::Memory));
         }
-        self.get_from_disk(key, Lookup::AnyEpoch)
+        let (pool, epoch) = self.disk_lookup(key, Lookup::AnyEpoch)?;
+        Some((pool, epoch, PoolTier::Disk))
     }
 
-    /// The tier-1 half of a lookup, under the key's in-flight guard.
-    /// Memory is re-checked first: a racer that held the guard before us
-    /// promoted (or repaired) the pool, and we take it instead of
-    /// decoding the entry again. A hit counts; the expected re-miss does
-    /// not (the caller's arena lookup already did).
-    fn get_from_disk(
+    /// Steps 1–4 of [`Self::fetch`], shared with [`Self::get`]: a hit
+    /// goes to `hit`; a miss runs `miss` under the key's in-flight guard
+    /// with the guard's slot, for it to fill.
+    fn resolve<T>(
         &self,
         key: &PoolKey,
-        lookup: Lookup,
-    ) -> Option<(Arc<MrrPool>, u64, PoolTier)> {
-        let disk = self.disk.as_ref()?;
-        let slot = {
-            let mut reads = lock(&self.disk_reads);
-            Arc::clone(reads.entry(key.clone()).or_default())
-        };
-        let held = lock(&slot);
-        let resident = match lookup {
-            Lookup::AnyEpoch => self.arena.get_any(key),
-            Lookup::Get | Lookup::Recheck => self
-                .arena
-                .get_recheck(key)
-                .map(|pool| (pool, self.arena.current_epoch())),
-        };
-        let found = match resident {
-            Some((pool, epoch)) => Some((pool, epoch, PoolTier::Memory)),
-            None => {
-                // Its own statement: the tier guard must drop before the
-                // decode, not at the end of an enclosing expression.
-                let raw = lock_timed(disk).read(key, lookup);
-                raw.and_then(|raw| self.settle_disk(disk, key, raw, lookup))
-                    .map(|(pool, epoch)| (pool, epoch, PoolTier::Disk))
-            }
+        hit: impl FnOnce(Arc<MrrPool>, PoolTier) -> T,
+        miss: impl FnOnce(&mut Option<Arc<MrrPool>>) -> T,
+    ) -> T {
+        if let Some(pool) = self.arena.get(key) {
+            return hit(pool, PoolTier::Memory);
+        }
+        let slot = Arc::clone(lock(&self.in_flight).entry(key.clone()).or_default());
+        let mut held = lock(&slot);
+        let resolved = if let Some(pool) = held.as_ref() {
+            hit(Arc::clone(pool), PoolTier::Memory)
+        } else if let Some(pool) = self
+            .arena
+            .get_any(key)
+            .filter(|&(_, epoch)| epoch == self.arena.current_epoch())
+            .map(|(pool, _)| pool)
+        {
+            // The miss is already counted; `get_any` counted the hit.
+            hit(pool, PoolTier::Memory)
+        } else if let Some((pool, _)) = self.disk_lookup(key, Lookup::Get) {
+            hit(pool, PoolTier::Disk)
+        } else {
+            miss(&mut held)
         };
         drop(held);
-        let mut reads = lock(&self.disk_reads);
-        if reads.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-            reads.remove(key);
+        // Only the slot this fetch queued on may go: after a populate
+        // error another fetch can have parked a fresh one, and removing
+        // *that* would let a third start a duplicate populate.
+        let mut in_flight = lock(&self.in_flight);
+        if in_flight.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+            in_flight.remove(key);
         }
-        found
+        resolved
+    }
+
+    /// A disk-tier lookup, step 1 of which is [`DiskTier::read`] under
+    /// the tier lock; see [`Self::settle_disk`] for steps 2 and 3.
+    fn disk_lookup(&self, key: &PoolKey, lookup: Lookup) -> Option<(Arc<MrrPool>, u64)> {
+        let disk = self.disk.as_ref()?;
+        // Its own statement: the tier guard must drop before the decode,
+        // not at the end of an enclosing expression.
+        let raw = lock_timed(disk).read(key, lookup)?;
+        self.settle_disk(disk, key, raw, lookup)
     }
 
     /// Lookup steps 2 and 3, after [`DiskTier::read`] took an entry's
@@ -668,7 +722,7 @@ impl PoolStore {
 
     /// Drops every *sampled* (unpinned) memory entry without spilling —
     /// called when the sampling inputs change, so the dropped pools are
-    /// stale, not cold. Pair with [`Self::set_instance`] to purge the
+    /// stale, not cold. Pair with [`Self::set_lineage`] to purge the
     /// disk tier of the same staleness.
     pub fn evict_unpinned(&self) {
         self.arena.evict_unpinned();
@@ -727,8 +781,10 @@ fn spill(disk: &mut DiskTier, evicted: Vec<(PoolKey, Arc<MrrPool>)>) {
     }
 }
 
-/// A per-key in-flight disk lookup guard (see `PoolStore::disk_reads`).
-type ReadSlot = Mutex<()>;
+/// A per-key in-flight guard (see `PoolStore::in_flight`): locked by the
+/// fetch resolving the key, filled with the pool its populate step
+/// built for the fetches queued on it.
+type Slot = Mutex<Option<Arc<MrrPool>>>;
 
 // Lock helper: a poisoned lock means another thread panicked mid-write.
 // The cache's data is a redundant copy of recomputable state (pools are
@@ -751,7 +807,8 @@ fn lock_timed(disk: &Mutex<DiskTier>) -> MutexGuard<'_, DiskTier> {
 
 /// Deterministic interleavings of a disk lookup's read and settle steps:
 /// each test runs step 1, changes the tier the way a racing thread could
-/// while the lock is released, then runs steps 2 and 3.
+/// while the lock is released, then runs steps 2 and 3. Plus the guard
+/// bookkeeping integration tests cannot see.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,6 +930,23 @@ mod tests {
             .collect();
         assert_eq!(quarantined, vec![file]);
         assert_eq!(store.arena_stats().entries, 0, "nothing promoted");
+    }
+
+    #[test]
+    fn fetch_leaves_no_guard_behind() {
+        let (store, _dir) = store("guard");
+        let failed = store.fetch(&key(), |_| -> Result<(Arc<MrrPool>, ()), &str> {
+            Err("no")
+        });
+        assert_eq!(failed.unwrap_err(), "no");
+        assert!(lock(&store.in_flight).is_empty(), "a failed populate");
+        store
+            .fetch(&key(), |_| -> Result<_, ()> { Ok((pool(7), ())) })
+            .unwrap();
+        assert!(store
+            .get(&PoolKey::sampled("absent".into(), 1, 1))
+            .is_none());
+        assert!(lock(&store.in_flight).is_empty(), "a populate and a miss");
     }
 
     #[test]

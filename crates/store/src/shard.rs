@@ -105,14 +105,8 @@ impl ShardedArena {
         read(self.shard(key)).get(key)
     }
 
-    /// [`Self::get`] for double-check paths (see
-    /// [`PoolArena::get_recheck`]): a re-miss counts nothing.
-    pub(crate) fn get_recheck(&self, key: &PoolKey) -> Option<Arc<MrrPool>> {
-        read(self.shard(key)).get_recheck(key)
-    }
-
-    /// Epoch-oblivious fetch for the delta-repair path (see
-    /// [`PoolArena::get_any`]).
+    /// Epoch-oblivious fetch: a servable entry counts a hit, anything
+    /// else counts nothing (see [`PoolArena::get_any`]).
     pub(crate) fn get_any(&self, key: &PoolKey) -> Option<(Arc<MrrPool>, u64)> {
         read(self.shard(key)).get_any(key)
     }

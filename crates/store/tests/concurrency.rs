@@ -6,9 +6,13 @@
 
 use oipa_sampler::testkit::fig1;
 use oipa_sampler::MrrPool;
-use oipa_store::{EvictionPolicyKind, PoolKey, PoolStore, PoolTier, StoreConfig};
+use oipa_store::{
+    Ancestor, EvictionPolicyKind, Fetched, PoolKey, PoolStore, PoolTier, StoreConfig,
+};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("oipa-store-conc").join(name);
@@ -334,4 +338,131 @@ fn concurrent_disk_promotions_serve_one_pool() {
     // Post-race lookups are memory hits.
     let (_, tier) = reopened.get(&key(3)).unwrap();
     assert_eq!(tier, PoolTier::Memory);
+}
+
+/// What one racing fetch returned.
+type FetchResult = Result<(Arc<MrrPool>, Fetched<()>), String>;
+
+/// A populate step that counts its calls and takes long enough for every
+/// racer to queue on the key's guard; the first `fail_first` calls fail.
+fn populate_counted<'a>(
+    p: &'a Arc<MrrPool>,
+    calls: &'a AtomicUsize,
+    fail_first: usize,
+) -> impl FnOnce(Option<Ancestor>) -> Result<(Arc<MrrPool>, ()), String> + 'a {
+    move |_ancestor| {
+        let call = calls.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(100));
+        if call < fail_first {
+            return Err(format!("populate call {call} failed"));
+        }
+        Ok((Arc::clone(p), ()))
+    }
+}
+
+/// Races `THREADS` fetches of one cold key and returns their results.
+fn race_fetches(
+    store: &PoolStore,
+    k: &PoolKey,
+    p: &Arc<MrrPool>,
+    calls: &AtomicUsize,
+    fail_first: usize,
+) -> Vec<FetchResult> {
+    const THREADS: usize = 6;
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    store.fetch(k, populate_counted(p, calls, fail_first))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+/// The one guard: N fetches of one cold key run `populate` once, and
+/// every other fetch is served that pool — on a memory-only store, on a
+/// disk store, and for a pool larger than the memory budget (never
+/// cached, so the racers can only take it from the guard's slot).
+#[test]
+fn concurrent_fetches_of_one_cold_key_populate_once() {
+    let p = pool(500, 5);
+    let oversized = || {
+        let mut cfg = StoreConfig::new(tmpdir("fetch-once-oversized"));
+        cfg.mem_bytes = Some(p.memory_bytes() / 2);
+        PoolStore::open(cfg).unwrap()
+    };
+    let cases = [
+        ("memory-only", PoolStore::memory_only(usize::MAX)),
+        (
+            "memory-only, oversized",
+            PoolStore::memory_only(p.memory_bytes() / 2),
+        ),
+        (
+            "disk",
+            PoolStore::open(StoreConfig::new(tmpdir("fetch-once-disk"))).unwrap(),
+        ),
+        ("disk, oversized", oversized()),
+    ];
+    for (label, store) in cases {
+        let calls = AtomicUsize::new(0);
+        let results = race_fetches(&store, &key(5), &p, &calls, 0);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "{label}: populated twice");
+        let mut populated = 0;
+        for result in results {
+            let (got, fetched) = result.unwrap();
+            assert_eq!(got.fingerprint(), p.fingerprint(), "{label}");
+            match fetched {
+                Fetched::Populated(()) => populated += 1,
+                Fetched::Hit(tier) => assert_eq!(tier, PoolTier::Memory, "{label}"),
+            }
+        }
+        assert_eq!(populated, 1, "{label}");
+        let stats = store.stats();
+        let fits = p.memory_bytes() <= stats.mem.capacity_bytes;
+        assert_eq!(stats.mem.entries, usize::from(fits), "{label}");
+        if let Some(disk) = stats.disk {
+            assert_eq!(disk.entries, 1, "{label}: populated pool persisted");
+            assert_eq!(disk.misses, 1, "{label}: one disk read, by the populater");
+        }
+    }
+}
+
+/// A failed populate leaves no guard behind: a racer queued on it takes
+/// over and populates, the rest take its pool, and a later fetch finds
+/// the key cached.
+#[test]
+fn failed_populate_is_retried_by_the_next_fetch() {
+    let p = pool(450, 4);
+    let store = PoolStore::open(StoreConfig::new(tmpdir("fetch-retry"))).unwrap();
+    let calls = AtomicUsize::new(0);
+    let results = race_fetches(&store, &key(4), &p, &calls, 1);
+    assert_eq!(calls.load(Ordering::SeqCst), 2, "one failure, one retry");
+    let failed = results.iter().filter(|r| r.is_err()).count();
+    let populated = results
+        .iter()
+        .filter(|r| matches!(r, Ok((_, Fetched::Populated(())))))
+        .count();
+    assert_eq!((failed, populated), (1, 1));
+    for (got, _) in results.into_iter().flatten() {
+        assert_eq!(got.fingerprint(), p.fingerprint());
+    }
+
+    // Sequentially: an error, then a populate, then a plain hit.
+    let calls = AtomicUsize::new(0);
+    let err = store.fetch(&key(6), populate_counted(&p, &calls, 1));
+    assert_eq!(err.unwrap_err(), "populate call 0 failed");
+    assert!(store.get(&key(6)).is_none());
+    let (_, fetched) = store
+        .fetch(&key(6), populate_counted(&p, &calls, 1))
+        .unwrap();
+    assert_eq!(fetched, Fetched::Populated(()));
+    let (_, fetched) = store
+        .fetch(&key(6), populate_counted(&p, &calls, 1))
+        .unwrap();
+    assert_eq!(fetched, Fetched::Hit(PoolTier::Memory));
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
 }

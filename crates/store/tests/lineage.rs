@@ -155,7 +155,10 @@ fn root_reload_revives_epoch_zero_and_drops_the_tail() {
 
     // The service restarts, reloads the original inputs, and announces a
     // root-only lineage.
-    assert!(!store.set_instance(ROOT).unwrap(), "shared root: no purge");
+    assert!(
+        !store.set_lineage(&[ROOT]).unwrap(),
+        "shared root: no purge"
+    );
     let (got, tier) = store.get(&key(320, 5)).expect("epoch-0 pool revived");
     assert_eq!(tier, PoolTier::Memory);
     assert_eq!(got.fingerprint(), original.fingerprint());
@@ -176,7 +179,7 @@ fn root_reload_revives_epoch_zero_and_drops_the_tail() {
 fn v2_manifest_opens_and_serves() {
     let dir = tmpdir("v2-compat");
     let store = PoolStore::open(StoreConfig::new(&dir)).unwrap();
-    store.set_instance(ROOT).unwrap();
+    store.set_lineage(&[ROOT]).unwrap();
     let p = pool(500, 9);
     store.insert(key(500, 9), Arc::clone(&p));
     drop(store);
@@ -223,7 +226,7 @@ fn v2_manifest_opens_and_serves() {
     drop(disk);
 
     // And the same instance fingerprint keeps matching post-upgrade.
-    assert!(!reopened.set_instance(ROOT).unwrap());
+    assert!(!reopened.set_lineage(&[ROOT]).unwrap());
 }
 
 /// Memory-only stores honor the same lineage discipline: stale on
@@ -246,4 +249,24 @@ fn memory_only_store_tracks_lineage_too() {
     );
     assert!(store.get_any(&key(300, 4)).is_none());
     assert_eq!(store.stats().mem.entries, 0);
+}
+
+/// A stale memory entry evicted after the lineage advanced must not spill:
+/// a spill stamps the current epoch, so the pre-delta pool would then be
+/// served from disk as if fresh.
+#[test]
+fn evicted_stale_pool_is_never_served_as_current() {
+    let dir = tmpdir("stale-spill");
+    let old = pool(400, 1);
+    let mut cfg = StoreConfig::new(&dir);
+    cfg.mem_bytes = Some(old.memory_bytes() * 3 / 2); // one pool fits
+    let store = PoolStore::open(cfg).unwrap();
+    store.set_lineage(&[ROOT]).unwrap();
+    store.insert(key(400, 1), Arc::clone(&old));
+    store.set_lineage(&[ROOT, HEAD]).unwrap();
+    // Byte pressure evicts the stale entry.
+    store.insert(key(400, 2), pool(400, 2));
+    assert!(store.get(&key(400, 1)).is_none(), "stale pool served");
+    let (_, epoch, _) = store.get_any(&key(400, 1)).expect("still repairable");
+    assert_eq!(epoch, 0);
 }

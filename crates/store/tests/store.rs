@@ -195,6 +195,77 @@ fn corrupt_segment_is_quarantined_not_served() {
     );
 }
 
+/// A disk entry whose version field reads 1 must not skip the CRC check:
+/// v1 pools carry no checksum, so a flipped root bit behind a downgraded
+/// version header would otherwise be served as a different pool.
+#[test]
+fn downgraded_version_field_is_corruption_not_an_unchecked_pool() {
+    let dir = tmpdir("v1-header");
+    let store = PoolStore::open(config(&dir)).unwrap();
+    store.insert(key(400, 9), pool(400, 9));
+    let (file, offset) = {
+        let disk = store.disk().unwrap();
+        (
+            disk.entries()[0].file.clone(),
+            disk.entries()[0].offset as usize,
+        )
+    };
+    drop(store);
+
+    let path = dir.join(&file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[offset + 8..offset + 12].copy_from_slice(&1u32.to_le_bytes());
+    bytes[offset + 28] ^= 1; // root 0, still a valid node id on fig1
+    std::fs::write(&path, &bytes).unwrap();
+
+    let reopened = PoolStore::open(config(&dir)).unwrap();
+    let verdict = reopened.disk().unwrap().verify();
+    assert!(verdict.ok.is_empty(), "{verdict:?}");
+    assert_eq!(verdict.corrupt.len(), 1, "{verdict:?}");
+    assert!(reopened.get(&key(400, 9)).is_none());
+    let disk = reopened.stats().disk.unwrap();
+    assert_eq!(disk.corrupt_dropped, 1);
+    assert_eq!(disk.entries, 0);
+    assert!(dir.join(QUARANTINE_DIR).join(&file).exists());
+}
+
+/// A v1 (file-per-key) directory is not migrated: its manifest takes the
+/// unsupported-version path and its segments are quarantined as orphans.
+/// The store is a cache, so the key misses and resamples to the same
+/// pool.
+#[test]
+fn v1_directory_is_quarantined_and_its_keys_resample() {
+    let dir = tmpdir("v1-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let p = pool(300, 3);
+    let k = key(300, 3);
+    let mut buf = Vec::new();
+    oipa_sampler::binio::write_pool(&p, &mut buf).unwrap();
+    let segment = "pool-0000000000000001.mrr";
+    std::fs::write(dir.join(segment), &buf).unwrap();
+    let manifest = format!(
+        r#"{{"version":1,"instance":0,"clock":1,"entries":[{{"key":{},"file":"{segment}","bytes":{},"crc":0,"last_used":1}}]}}"#,
+        serde_json::to_string(&k).unwrap(),
+        buf.len(),
+    );
+    std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+
+    let store = PoolStore::open(config(&dir)).unwrap();
+    let report = store.disk().unwrap().open_report();
+    assert!(report.corrupt_manifest);
+    assert_eq!(report.quarantined, 1, "the segment is an orphan");
+    assert!(dir.join(QUARANTINE_DIR).join(MANIFEST_FILE).exists());
+    assert!(dir.join(QUARANTINE_DIR).join(segment).exists());
+    assert!(store.get(&k).is_none());
+    let (back, _) = store
+        .fetch(&k, |ancestor| -> Result<_, ()> {
+            assert!(ancestor.is_none(), "nothing of the v1 pool survives");
+            Ok((pool(300, 3), ()))
+        })
+        .unwrap();
+    assert_same_pool(&back, &p, "resampled");
+}
+
 #[test]
 fn gc_quarantines_corruption_and_orphans() {
     let dir = tmpdir("gc");
@@ -308,17 +379,17 @@ fn stale_temp_files_are_swept_at_open() {
 fn instance_mismatch_purges_the_tier() {
     let dir = tmpdir("instance");
     let store = PoolStore::open(config(&dir)).unwrap();
-    store.set_instance(0xAAAA).unwrap();
+    store.set_lineage(&[0xAAAA]).unwrap();
     store.insert(key(300, 2), pool(300, 2));
     assert_eq!(store.disk().unwrap().entries().len(), 1);
 
     // Same instance: nothing happens, entries survive a reopen.
     let reopened = PoolStore::open(config(&dir)).unwrap();
-    assert!(!reopened.set_instance(0xAAAA).unwrap());
+    assert!(!reopened.set_lineage(&[0xAAAA]).unwrap());
     assert_eq!(reopened.disk().unwrap().entries().len(), 1);
 
     // Different instance (a different graph/table): everything goes.
-    assert!(reopened.set_instance(0xBBBB).unwrap());
+    assert!(reopened.set_lineage(&[0xBBBB]).unwrap());
     assert_eq!(reopened.disk().unwrap().entries().len(), 0);
     assert!(reopened.get(&key(300, 2)).is_none());
 }
