@@ -467,6 +467,16 @@ fn register_store_collector(registry: &Registry, service: SharedService) {
                 &[],
                 disk.lock_wait_ns as f64 / 1e9,
             );
+            w.family(
+                "oipa_store_disk_decode_seconds_total",
+                Counter,
+                "Seconds lookups spent verifying and decoding disk entries.",
+            );
+            w.sample_f64(
+                "oipa_store_disk_decode_seconds_total",
+                &[],
+                disk.decode_ns as f64 / 1e9,
+            );
         }
         if let Some(health) = &snap.disk_health {
             bridge(

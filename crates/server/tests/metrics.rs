@@ -237,7 +237,8 @@ fn stats_and_metrics_report_the_same_store_counters() {
 }
 
 /// With a disk tier attached, `/metrics` bridges the disk counters —
-/// the tier-lock wait included — from the same snapshot `/stats` serves.
+/// the tier-lock wait and the decode time included — from the same
+/// snapshot `/stats` serves.
 #[test]
 fn stats_and_metrics_report_the_same_disk_counters() {
     let dir = common::tmpdir("metrics-disk");
@@ -266,6 +267,12 @@ fn stats_and_metrics_report_the_same_disk_counters() {
     assert_eq!(
         metrics.get("oipa_store_disk_lock_wait_seconds_total"),
         disk.lock_wait_ns as f64 / 1e9
+    );
+    // The one disk hit decoded its entry, and took time doing it.
+    assert!(disk.decode_ns > 0);
+    assert_eq!(
+        metrics.get("oipa_store_disk_decode_seconds_total"),
+        disk.decode_ns as f64 / 1e9
     );
     assert_eq!(stats.server.stats_schema, "oipa.stats/v4");
 

@@ -297,6 +297,11 @@ pub struct DiskStats {
     /// Nanoseconds serving lookups through a `PoolStore` spent waiting
     /// to take the tier lock since open (0 on a bare `DiskTier`).
     pub lock_wait_ns: u64,
+    /// Nanoseconds lookups through a `PoolStore` spent verifying and
+    /// decoding the entries they read, outside the tier lock, since open
+    /// (0 on a bare `DiskTier`). Divided by `hits`, the decode cost of a
+    /// disk hit.
+    pub decode_ns: u64,
     /// Entries currently stamped with a non-current lineage epoch:
     /// stale, dirty-repairable, never served as-is.
     pub stale_entries: usize,
@@ -371,9 +376,10 @@ pub(crate) struct RawEntry {
 impl RawEntry {
     /// Step 2 of a lookup: checks the CRC trailer and decodes the pool
     /// (rebuilding its inverted index). Needs no lock; the read buffer
-    /// is freed before this returns.
+    /// is freed once the pool's arrays are decoded, before its index is
+    /// built.
     pub(crate) fn decode(self) -> (EntryAt, Result<MrrPool, PoolIoError>) {
-        let decoded = read_pool(&self.data[..]);
+        let decoded = read_pool(self.data);
         (self.at, decoded)
     }
 }
@@ -411,6 +417,7 @@ pub struct DiskTier {
     gc_runs: u64,
     gc_duration_ns: u64,
     lock_wait_ns: u64,
+    decode_ns: u64,
     /// Entries dropped because the lineage diverged past their epoch
     /// (their branch was abandoned; see [`DiskTier::set_lineage`]).
     stale_dropped: u64,
@@ -623,6 +630,7 @@ impl DiskTier {
             gc_runs: 0,
             gc_duration_ns: 0,
             lock_wait_ns: 0,
+            decode_ns: 0,
             stale_dropped: 0,
         };
         tier.enforce_budget(None);
@@ -984,6 +992,14 @@ impl DiskTier {
         self.lock_wait_ns = self
             .lock_wait_ns
             .saturating_add(u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// Adds time a lookup spent verifying and decoding an entry outside
+    /// the tier lock (see [`RawEntry::decode`]).
+    pub(crate) fn record_decode(&mut self, took: std::time::Duration) {
+        self.decode_ns = self
+            .decode_ns
+            .saturating_add(u64::try_from(took.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Writes the manifest out if any batched recency stamps are pending.
@@ -1509,6 +1525,7 @@ impl DiskTier {
             gc_runs: self.gc_runs,
             gc_duration_ns: self.gc_duration_ns,
             lock_wait_ns: self.lock_wait_ns,
+            decode_ns: self.decode_ns,
             stale_entries: self.stale_entries(),
             stale_dropped: self.stale_dropped,
             purges: self.manifest.purges,

@@ -640,8 +640,11 @@ impl PoolStore {
         raw: RawEntry,
         lookup: Lookup,
     ) -> Option<(Arc<MrrPool>, u64)> {
+        let started = Instant::now();
         let (at, decoded) = raw.decode();
+        let decoding = started.elapsed();
         let mut tier = lock_timed(disk);
+        tier.record_decode(decoding);
         let (pool, epoch) = tier.settle(key, at, decoded, lookup)?;
         let pool = Arc::new(pool);
         if lookup != Lookup::AnyEpoch && pool.memory_bytes() <= self.arena.capacity_bytes() {
@@ -971,5 +974,20 @@ mod tests {
         });
         let waited = disk_stats(&store).lock_wait_ns - before;
         assert!(waited >= 25_000_000, "waited {waited} ns");
+    }
+
+    #[test]
+    fn disk_hits_record_their_decode_time() {
+        let (store, _dir) = store("decode-time");
+        store.insert(key(), pool(7));
+        store.clear_memory();
+        assert_eq!(disk_stats(&store).decode_ns, 0, "nothing decoded yet");
+        assert_eq!(
+            store.get(&key()).map(|(_, tier)| tier),
+            Some(PoolTier::Disk)
+        );
+        let stats = disk_stats(&store);
+        assert_eq!(stats.hits, 1);
+        assert!(stats.decode_ns > 0);
     }
 }
