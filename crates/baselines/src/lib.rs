@@ -5,10 +5,6 @@
 //!
 //! * [`maxcover`] — lazy-greedy (CELF) maximum coverage over a fixed pool
 //!   of RR sets: the core subroutine of every RR-set IM algorithm.
-//! * [`imm`] — a full implementation of IMM (Tang, Shi, Xiao — SIGMOD
-//!   2015): martingale-based sampling with an OPT lower-bound search, for
-//!   callers who want IM with end-to-end `(1 − 1/e − ε)` guarantees
-//!   rather than a fixed θ.
 //! * [`paper`] — the `IM` and `TIM` baselines exactly as the paper adapts
 //!   them to OIPA: run classical IM (topic-oblivious for `IM`,
 //!   per-piece for `TIM`), then give the whole budget to the single best
@@ -18,7 +14,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod heuristics;
-pub mod imm;
 pub mod maxcover;
 pub mod paper;
 

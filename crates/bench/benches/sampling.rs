@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use oipa_datasets::{lastfm_like, Scale};
 use oipa_graph::traverse::BfsScratch;
-use oipa_sampler::{sample_rr_set, MrrPool, PieceProbs, RrPool};
+use oipa_sampler::{sample_rr_set, LiveInEdges, MrrPool, PieceProbs, RrPool};
 use oipa_topics::Campaign;
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
@@ -19,20 +19,13 @@ fn bench_sampling(c: &mut Criterion) {
     let n = dataset.graph.node_count();
 
     c.bench_function("rr_set/single_lastfm", |b| {
-        let probs = PieceProbs::new(&dataset.table, piece);
+        let live = LiveInEdges::new(&dataset.graph, &PieceProbs::new(&dataset.table, piece));
         let mut scratch = BfsScratch::new(n);
         let mut out = Vec::new();
         let mut rng = SmallRng::seed_from_u64(1);
         b.iter(|| {
             let root = rng.gen_range(0..n as u32);
-            sample_rr_set(
-                &mut rng,
-                &dataset.graph,
-                &probs,
-                root,
-                &mut scratch,
-                &mut out,
-            );
+            sample_rr_set(&mut rng, &live, root, &mut scratch, &mut out);
             out.len()
         })
     });

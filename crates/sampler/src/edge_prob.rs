@@ -5,6 +5,11 @@ use oipa_topics::{EdgeTopicProbs, TopicVector};
 
 /// A source of per-edge activation probabilities for one homogeneous
 /// influence graph (one viral piece, or a collapsed topic-oblivious graph).
+///
+/// RR sampling reads each edge's probability once per pool, when it
+/// builds the piece's [`LiveInEdges`](crate::LiveInEdges); the forward
+/// simulator ([`crate::simulate`]) probes it on every edge a cascade
+/// tries.
 pub trait EdgeProb: Sync {
     /// Probability that the piece passes through edge `e`.
     fn prob(&self, e: EdgeId) -> f32;
@@ -34,7 +39,9 @@ impl EdgeProb for Vec<f32> {
 /// On-the-fly `t · p(e)` evaluation against the sparse topic table.
 ///
 /// Zero extra memory; each probe costs one sparse dot product (cheap at the
-/// real-world supports of ~1.5 entries/edge).
+/// real-world supports of ~1.5 entries/edge). Sampling pays that once per
+/// edge per pool, building a [`LiveInEdges`](crate::LiveInEdges) list;
+/// the forward simulator pays it on every probe.
 pub struct PieceProbs<'a> {
     table: &'a EdgeTopicProbs,
     piece: &'a TopicVector,

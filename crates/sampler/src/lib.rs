@@ -20,9 +20,13 @@
 //!   across pieces, as required by Lemma 2's unbiasedness argument;
 //! * [`EdgeProb`] — the edge-probability abstraction (materialized vector
 //!   or on-the-fly `t · p(e)` dot products);
+//! * [`LiveInEdges`] — one piece's in-edges with `p > 0`, each with an
+//!   integer threshold, built from an [`EdgeProb`] once per pool (or, for
+//!   pools with fewer walks than a quarter of the nodes, read row by row
+//!   from it): every RR-set walk ([`sample_rr_set`]) runs over it,
+//!   drawing one 24-bit integer per edge it probes;
 //! * [`simulate`] — forward Monte-Carlo cascade simulation, the ground
-//!   truth against which the estimator is validated;
-//! * [`theta`] — Chernoff/martingale sample-size calculators.
+//!   truth against which the estimator is validated.
 //!
 //! Generation is deterministic given a seed, *independent of thread count*:
 //! the parallel generator partitions the sample range into fixed chunks,
@@ -37,8 +41,7 @@ mod mrr;
 mod rr;
 pub mod simulate;
 pub mod testkit;
-pub mod theta;
 
 pub use edge_prob::{EdgeProb, MaterializedProbs, PieceProbs};
 pub use mrr::{MrrPool, PoolBuildError, RepairOutcome};
-pub use rr::{sample_rr_set, RrPool, RrStore};
+pub use rr::{sample_rr_set, LiveInEdges, RrPool, RrStore};

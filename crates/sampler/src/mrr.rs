@@ -5,8 +5,8 @@
 //! piece's influence graph. Sharing the root across pieces is what makes
 //! Eqn. (6) an unbiased estimator of the adoption utility (Lemma 2).
 
-use crate::edge_prob::{EdgeProb, PieceProbs};
-use crate::rr::{sample_rr_set, RrStore};
+use crate::edge_prob::PieceProbs;
+use crate::rr::{sample_rr_set, LiveInEdges, RrStore};
 use oipa_graph::traverse::BfsScratch;
 use oipa_graph::{DiGraph, NodeId};
 use oipa_topics::{Campaign, EdgeTopicProbs};
@@ -133,6 +133,16 @@ impl MrrPool {
         let pick = Uniform::new(0, graph.node_count() as NodeId);
         let roots: Vec<NodeId> = (0..theta).map(|_| pick.sample(&mut rng)).collect();
 
+        // One live-edge list per piece, shared by all of its chunks.
+        let probs: Vec<PieceProbs<'_>> = campaign
+            .pieces()
+            .iter()
+            .map(|piece| PieceProbs::new(table, &piece.topics))
+            .collect();
+        let lives: Vec<LiveInEdges<'_>> = probs
+            .iter()
+            .map(|probs| LiveInEdges::for_walks(graph, probs, theta))
+            .collect();
         // Job = (piece j, chunk ci), j-major so each piece's chunks land
         // contiguously in the collected output.
         let ell = campaign.len();
@@ -143,21 +153,17 @@ impl MrrPool {
         let chunk_stores: Vec<RrStore> = jobs
             .par_iter()
             .map(|&(j, ci)| {
-                let piece = &campaign.piece(j).topics;
-                let probs = PieceProbs::new(table, piece);
                 let lo = ci * CHUNK;
                 let hi = (lo + CHUNK).min(roots.len());
-                generate_chunk(graph, &probs, &roots[lo..hi], seed, j, ci)
+                generate_chunk(graph, &lives[j], &roots[lo..hi], seed, j, ci)
             })
             .collect();
 
-        let mut stores = Vec::with_capacity(ell);
-        let mut remaining = chunk_stores;
-        for _ in 0..ell {
-            let tail = remaining.split_off(chunk_count.min(remaining.len()));
-            stores.push(RrStore::concat(remaining, graph.node_count()));
-            remaining = tail;
-        }
+        let pieces: Vec<&[RrStore]> = chunk_stores.chunks(chunk_count).collect();
+        let stores: Vec<RrStore> = pieces
+            .par_iter()
+            .map(|chunks| RrStore::concat(chunks, graph.node_count()))
+            .collect();
         Ok(MrrPool {
             n: graph.node_count() as u32,
             roots,
@@ -404,8 +410,8 @@ impl MrrPool {
                 continue;
             }
             outcome.sets_resampled += dead.len();
-            let piece = &campaign.piece(j).topics;
-            let probs = PieceProbs::new(table, piece);
+            let probs = PieceProbs::new(table, &campaign.piece(j).topics);
+            let live = LiveInEdges::for_walks(graph, &probs, dead.len());
             // Chunked so each rayon task reuses one BFS scratch; per-walk
             // streams make the result independent of the chunking.
             let jobs: Vec<&[u32]> = dead.chunks(256).collect();
@@ -419,8 +425,7 @@ impl MrrPool {
                         let mut rng = walk_rng(seed, j, i as usize);
                         sample_rr_set(
                             &mut rng,
-                            graph,
-                            &probs,
+                            &live,
                             self.roots[i as usize],
                             &mut scratch,
                             &mut set_buf,
@@ -479,9 +484,9 @@ fn walk_rng(seed: u64, piece: usize, walk: usize) -> SmallRng {
     )
 }
 
-fn generate_chunk<P: EdgeProb + ?Sized>(
+fn generate_chunk(
     graph: &DiGraph,
-    probs: &P,
+    live: &LiveInEdges<'_>,
     roots: &[NodeId],
     seed: u64,
     piece: usize,
@@ -495,7 +500,7 @@ fn generate_chunk<P: EdgeProb + ?Sized>(
     offsets.push(0u64);
     for (k, &root) in roots.iter().enumerate() {
         let mut rng = walk_rng(seed, piece, base + k);
-        sample_rr_set(&mut rng, graph, probs, root, &mut scratch, &mut set_buf);
+        sample_rr_set(&mut rng, live, root, &mut scratch, &mut set_buf);
         nodes.extend_from_slice(&set_buf);
         offsets.push(nodes.len() as u64);
     }

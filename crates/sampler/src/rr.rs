@@ -2,10 +2,10 @@
 
 use crate::edge_prob::EdgeProb;
 use oipa_graph::traverse::BfsScratch;
-use oipa_graph::{DiGraph, NodeId};
+use oipa_graph::{DiGraph, EdgeId, NodeId};
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 
 /// Flat storage for θ RR sets plus the inverted node→samples index.
@@ -125,22 +125,6 @@ impl RrStore {
     /// Raw node array (for serialization).
     pub(crate) fn raw_nodes(&self) -> &[NodeId] {
         &self.nodes
-    }
-
-    /// Builds an indexed store from a slice of RR sets (used by callers
-    /// that accumulate sets incrementally, e.g. the IMM baseline).
-    pub fn from_sets(sets: &[Vec<NodeId>], n: usize) -> RrStore {
-        let mut offsets = Vec::with_capacity(sets.len() + 1);
-        offsets.push(0u64);
-        let total: usize = sets.iter().map(|s| s.len()).sum();
-        let mut nodes = Vec::with_capacity(total);
-        for s in sets {
-            nodes.extend_from_slice(s);
-            offsets.push(nodes.len() as u64);
-        }
-        let mut store = RrStore::from_raw(offsets, nodes);
-        store.build_index(n);
-        store
     }
 
     /// Builds a store from raw CSR arrays without an inverted index (used
@@ -292,7 +276,7 @@ impl RrStore {
     }
 
     /// Concatenates chunked stores (in order) and rebuilds the index.
-    pub(crate) fn concat(chunks: Vec<RrStore>, n: usize) -> RrStore {
+    pub(crate) fn concat(chunks: &[RrStore], n: usize) -> RrStore {
         let total_sets: usize = chunks.iter().map(|c| c.len()).sum();
         let total_nodes: usize = chunks.iter().map(|c| c.total_nodes()).sum();
         let mut out = RrStore {
@@ -323,16 +307,130 @@ fn node_counts(nodes: &[NodeId], n: usize) -> Result<Vec<u64>, NodeId> {
     Ok(counts)
 }
 
+/// The live in-edges of one homogeneous influence graph: for each node
+/// `v`, the in-edges of `v` whose probability is `> 0`, in
+/// [`DiGraph::in_edges`] order, each as `(source, threshold)` with
+/// `threshold = ceil(p · 2^24)` (saturating). Edges with `p ≤ 0` or a NaN
+/// `p` are left out: they never drew and never crossed.
+///
+/// Usually a reverse CSR built once per piece per pool in O(n + m), so a
+/// walk neither evaluates a probability nor visits an edge that can never
+/// be live. When a pool's walks are too few to repay that build
+/// ([`LiveInEdges::for_walks`]), each visited row is read from the
+/// probability source instead; both forms yield the same pairs, so the
+/// choice never changes a sampled set.
+pub struct LiveInEdges<'a> {
+    rows: Rows<'a>,
+}
+
+enum Rows<'a> {
+    Built {
+        offsets: Vec<u32>,
+        edges: Vec<(NodeId, u32)>,
+    },
+    Probed {
+        graph: &'a DiGraph,
+        probs: &'a dyn EdgeProb,
+    },
+}
+
+/// Pools with fewer than `n / BUILD_DIVISOR` walks read rows from the
+/// probability source: they visit too few of the n rows to repay a
+/// build over all of them (on 50k- and 1M-node graphs at ℓ = 4 the
+/// build lost at θ = n/50 and n/10 and won from θ = 0.4·n up).
+const BUILD_DIVISOR: usize = 4;
+
+impl<'a> LiveInEdges<'a> {
+    /// Collects the live in-edges of `graph` under `probs`.
+    pub fn new<P: EdgeProb + ?Sized>(graph: &DiGraph, probs: &P) -> LiveInEdges<'a> {
+        // Probabilities are read in edge-id order, the order their tables
+        // are laid out in, then gathered per target.
+        let thresholds: Vec<u32> = (0..graph.edge_count() as EdgeId)
+            .map(|e| threshold(probs.prob(e)))
+            .collect();
+        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+        let mut edges = Vec::new();
+        offsets.push(0u32);
+        for v in graph.nodes() {
+            for e in graph.in_edges(v) {
+                let t = thresholds[e.id as usize];
+                if t > 0 {
+                    edges.push((e.source, t));
+                }
+            }
+            offsets.push(edges.len() as u32);
+        }
+        LiveInEdges {
+            rows: Rows::Built { offsets, edges },
+        }
+    }
+
+    /// The live in-edges for a pool of `walks` walks: built when the
+    /// walks are at least a quarter of the node count, read row by row
+    /// from `probs` otherwise.
+    pub fn for_walks<P: EdgeProb>(graph: &'a DiGraph, probs: &'a P, walks: usize) -> Self {
+        if walks.saturating_mul(BUILD_DIVISOR) >= graph.node_count() {
+            LiveInEdges::new(graph, probs)
+        } else {
+            LiveInEdges {
+                rows: Rows::Probed { graph, probs },
+            }
+        }
+    }
+
+    /// Calls `f(source, threshold)` for each live in-edge of `v`, in order.
+    #[inline]
+    fn for_each(&self, v: NodeId, mut f: impl FnMut(NodeId, u32)) {
+        match &self.rows {
+            Rows::Built { offsets, edges } => {
+                let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
+                for &(source, t) in &edges[lo as usize..hi as usize] {
+                    f(source, t);
+                }
+            }
+            Rows::Probed { graph, probs } => {
+                for e in graph.in_edges(v) {
+                    let t = threshold(probs.prob(e.id));
+                    if t > 0 {
+                        f(e.source, t);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The integer threshold of probability `p`: a 24-bit draw
+/// `k = word >> 40` crosses an edge iff `k < threshold(p)`.
+///
+/// This is exactly the float test `k · 2^-24 < p`, which is what
+/// `gen_range(0.0f32..1.0) < p` computes on the same word: `k` is an
+/// integer, so `k · 2^-24 < p ⇔ k < p · 2^24 ⇔ k < ceil(p · 2^24)`, and
+/// `p · 2^24` is exact in `f64`. The cast saturates: `p ≥ 1` gives a
+/// threshold of at least `2^24` (always crosses), `p ≤ 0` and NaN give 0
+/// (never).
+#[inline]
+fn threshold(p: f32) -> u32 {
+    (f64::from(p) * f64::from(1u32 << 24)).ceil() as u32
+}
+
 /// Samples one RR set rooted at `root`: the set of nodes that reach `root`
 /// in a live-edge sample of the influence graph, where each in-edge is live
 /// independently with its piece probability.
 ///
+/// The walk visits nodes breadth-first and, for each live in-edge of a
+/// visited node whose source is not yet in the set, takes one word from
+/// `rng` and crosses iff `(word >> 40) < threshold` (see [`LiveInEdges`]).
+/// Edge for edge, that is the float test `gen_range(0.0f32..1.0) < p` on
+/// the same word, made for exactly the edges with `p > 0`, so the draw
+/// sequence, and every stored pool's bytes, are those of a per-edge
+/// float walk over the full in-edge rows.
+///
 /// `scratch` provides O(1)-reset visit marking; `out` receives the set
 /// (cleared first).
-pub fn sample_rr_set<R: Rng + ?Sized, P: EdgeProb + ?Sized>(
+pub fn sample_rr_set<R: RngCore + ?Sized>(
     rng: &mut R,
-    graph: &DiGraph,
-    probs: &P,
+    live: &LiveInEdges<'_>,
     root: NodeId,
     scratch: &mut BfsScratch,
     out: &mut Vec<NodeId>,
@@ -345,16 +443,12 @@ pub fn sample_rr_set<R: Rng + ?Sized, P: EdgeProb + ?Sized>(
     while head < out.len() {
         let v = out[head];
         head += 1;
-        for e in graph.in_edges(v) {
-            if scratch.is_marked(e.source) {
-                continue;
+        live.for_each(v, |source, threshold| {
+            if !scratch.is_marked(source) && ((rng.next_u64() >> 40) as u32) < threshold {
+                scratch.mark(source);
+                out.push(source);
             }
-            let p = probs.prob(e.id);
-            if p > 0.0 && rng.gen_range(0.0f32..1.0) < p {
-                scratch.mark(e.source);
-                out.push(e.source);
-            }
-        }
+        });
     }
 }
 
@@ -371,17 +465,13 @@ impl RrPool {
     /// the ambient rayon thread count, if one is installed). Output is
     /// bitwise deterministic per seed regardless of thread count: each
     /// fixed-size chunk of roots draws from its own seed-derived stream.
-    pub fn generate<P: EdgeProb + ?Sized + Sync>(
-        graph: &DiGraph,
-        probs: &P,
-        theta: usize,
-        seed: u64,
-    ) -> RrPool {
+    pub fn generate<P: EdgeProb>(graph: &DiGraph, probs: &P, theta: usize, seed: u64) -> RrPool {
         assert!(graph.node_count() > 0, "cannot sample an empty graph");
         let mut rng = SmallRng::seed_from_u64(seed);
         let pick = Uniform::new(0, graph.node_count() as NodeId);
         let roots: Vec<NodeId> = (0..theta).map(|_| pick.sample(&mut rng)).collect();
-        let store = generate_store(graph, probs, &roots, seed ^ 0x9e37_79b9_7f4a_7c15);
+        let live = LiveInEdges::for_walks(graph, probs, theta);
+        let store = generate_store(graph, &live, &roots, seed ^ 0x9e37_79b9_7f4a_7c15);
         RrPool {
             n: graph.node_count() as u32,
             roots,
@@ -391,7 +481,7 @@ impl RrPool {
 
     /// Generates θ RR sets with exactly `threads` workers; output is
     /// bit-identical to [`RrPool::generate`] with the same seed.
-    pub fn generate_parallel<P: EdgeProb + ?Sized + Sync>(
+    pub fn generate_parallel<P: EdgeProb>(
         graph: &DiGraph,
         probs: &P,
         theta: usize,
@@ -449,25 +539,20 @@ impl RrPool {
 /// an independent RNG stream derived from (seed, chunk index).
 const CHUNK: usize = 4096;
 
-fn generate_store<P: EdgeProb + ?Sized + Sync>(
-    graph: &DiGraph,
-    probs: &P,
-    roots: &[NodeId],
-    seed: u64,
-) -> RrStore {
+fn generate_store(graph: &DiGraph, live: &LiveInEdges<'_>, roots: &[NodeId], seed: u64) -> RrStore {
     // Chunk jobs are independent seed-derived streams; par_iter + collect
     // preserves chunk order, so concatenation is thread-count-invariant.
     let chunk_jobs: Vec<(usize, &[NodeId])> = roots.chunks(CHUNK).enumerate().collect();
     let chunks: Vec<RrStore> = chunk_jobs
         .par_iter()
-        .map(|&(ci, chunk_roots)| generate_chunk(graph, probs, chunk_roots, seed, ci))
+        .map(|&(ci, chunk_roots)| generate_chunk(graph, live, chunk_roots, seed, ci))
         .collect();
-    RrStore::concat(chunks, graph.node_count())
+    RrStore::concat(&chunks, graph.node_count())
 }
 
-fn generate_chunk<P: EdgeProb + ?Sized>(
+fn generate_chunk(
     graph: &DiGraph,
-    probs: &P,
+    live: &LiveInEdges<'_>,
     roots: &[NodeId],
     seed: u64,
     chunk_index: usize,
@@ -489,7 +574,7 @@ fn generate_chunk<P: EdgeProb + ?Sized>(
     };
     store.offsets.push(0);
     for &root in roots {
-        sample_rr_set(&mut rng, graph, probs, root, &mut scratch, &mut set_buf);
+        sample_rr_set(&mut rng, live, root, &mut scratch, &mut set_buf);
         store.nodes.extend_from_slice(&set_buf);
         store.offsets.push(store.nodes.len() as u64);
     }
@@ -500,7 +585,167 @@ fn generate_chunk<P: EdgeProb + ?Sized>(
 mod tests {
     use super::*;
     use crate::edge_prob::MaterializedProbs;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::Rng;
+
+    /// The per-edge loop [`sample_rr_set`] replaced, kept as the
+    /// reference it must match: one probability probe per unmarked
+    /// in-edge, and one `gen_range(0.0f32..1.0)` draw for each with
+    /// `p > 0`.
+    fn reference_rr_set<R: Rng + ?Sized, P: EdgeProb + ?Sized>(
+        rng: &mut R,
+        graph: &DiGraph,
+        probs: &P,
+        root: NodeId,
+        scratch: &mut BfsScratch,
+        out: &mut Vec<NodeId>,
+    ) {
+        out.clear();
+        scratch.begin();
+        scratch.mark(root);
+        out.push(root);
+        let mut head = 0usize;
+        while head < out.len() {
+            let v = out[head];
+            head += 1;
+            for e in graph.in_edges(v) {
+                if scratch.is_marked(e.source) {
+                    continue;
+                }
+                let p = probs.prob(e.id);
+                if p > 0.0 && rng.gen_range(0.0f32..1.0) < p {
+                    scratch.mark(e.source);
+                    out.push(e.source);
+                }
+            }
+        }
+    }
+
+    /// A generator that returns one fixed word.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// A walk crosses an edge of probability `p` on draw `k` iff the
+    /// float draw `k · 2^-24 < p`, at the draws on either side of the
+    /// threshold and at both ends of the 24-bit range, for the
+    /// probabilities where rounding could slip.
+    #[test]
+    fn threshold_is_exactly_the_float_draw() {
+        let g = DiGraph::from_edges(2, &[(0, 1)]).unwrap();
+        let mut scratch = BfsScratch::new(2);
+        let mut out = Vec::new();
+        let step = 1.0f32 / (1u32 << 24) as f32;
+        let below = |p: f32| f32::from_bits(p.to_bits() - 1);
+        let above = |p: f32| f32::from_bits(p.to_bits() + 1);
+        let ps = [
+            0.0,
+            f32::from_bits(1),
+            below(step),
+            step,
+            above(step),
+            0.5,
+            below(1.0),
+            1.0,
+            1.5,
+            f32::INFINITY,
+            f32::NAN,
+            -0.25,
+        ];
+        for p in ps {
+            let t = threshold(p);
+            for k in [0, t.saturating_sub(1), t, (1 << 24) - 1] {
+                if k >= 1 << 24 {
+                    continue;
+                }
+                let word = u64::from(k) << 40;
+                let u: f32 = Word(word).gen_range(0.0f32..1.0);
+                assert_eq!(u < p, k < t, "p = {p:e}, k = {k}, threshold {t}");
+                let live = LiveInEdges::new(&g, &MaterializedProbs(vec![p]));
+                sample_rr_set(&mut Word(word), &live, 1, &mut scratch, &mut out);
+                assert_eq!(out.len() == 2, u < p, "walk at p = {p:e}, k = {k}");
+            }
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(-0.25), 0);
+        assert_eq!(threshold(f32::NAN), 0);
+        assert_eq!(threshold(f32::from_bits(1)), 1);
+        assert_eq!(threshold(step), 1);
+        assert_eq!(threshold(above(step)), 2);
+        assert_eq!(threshold(below(1.0)), (1 << 24) - 1);
+        assert_eq!(threshold(1.0), 1 << 24);
+        assert_eq!(threshold(f32::INFINITY), u32::MAX);
+    }
+
+    /// Pools whose walks reach a quarter of the node count build the
+    /// list; smaller ones read rows from the probabilities.
+    #[test]
+    fn for_walks_builds_from_a_quarter_of_the_nodes() {
+        let g = DiGraph::from_edges(100, &[(0, 1)]).unwrap();
+        let p = MaterializedProbs(vec![0.5]);
+        let built = |walks| {
+            matches!(
+                LiveInEdges::for_walks(&g, &p, walks).rows,
+                Rows::Built { .. }
+            )
+        };
+        assert!(!built(0));
+        assert!(!built(24));
+        assert!(built(25));
+        assert!(built(usize::MAX));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The live-edge walk, over a built list and over rows read from
+        /// the probabilities, returns exactly the sets of the per-edge
+        /// reference and consumes exactly its draws, on graphs with
+        /// multi-edges and self-loops and probabilities that are zero,
+        /// one, above one, negative or NaN.
+        #[test]
+        fn live_edge_walk_equals_per_edge_reference(
+            edges in proptest::collection::vec(((0u32..12, 0u32..12), 0u8..8, 0.0f32..1.0), 0..70),
+            seed in 0u64..u64::MAX,
+        ) {
+            let pairs: Vec<(NodeId, NodeId)> = edges.iter().map(|&(e, _, _)| e).collect();
+            let g = DiGraph::from_edges(12, &pairs).unwrap();
+            let probs = MaterializedProbs(
+                edges
+                    .iter()
+                    .map(|&(_, kind, x)| match kind {
+                        0 => 0.0,
+                        1 => 1.0,
+                        2 => 1.0 + x,
+                        3 => -x,
+                        4 => f32::NAN,
+                        5 => x * 1e-6,
+                        _ => x,
+                    })
+                    .collect(),
+            );
+            let built = LiveInEdges::new(&g, &probs);
+            let probed = LiveInEdges::for_walks(&g, &probs, 0);
+            for live in [&built, &probed] {
+                let mut rng_new = SmallRng::seed_from_u64(seed);
+                let mut rng_ref = SmallRng::seed_from_u64(seed);
+                let mut scratch = BfsScratch::new(12);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for walk in 0..48u32 {
+                    let root = walk % 12;
+                    sample_rr_set(&mut rng_new, live, root, &mut scratch, &mut got);
+                    reference_rr_set(&mut rng_ref, &g, &probs, root, &mut scratch, &mut want);
+                    prop_assert_eq!(&got, &want, "walk {}", walk);
+                    prop_assert_eq!(rng_new.next_u64(), rng_ref.next_u64(), "draws of walk {}", walk);
+                }
+            }
+        }
+    }
 
     fn line_graph() -> (DiGraph, MaterializedProbs) {
         // 0 -> 1 -> 2 with probability 1 everywhere.
@@ -512,26 +757,27 @@ mod tests {
     #[test]
     fn rr_set_deterministic_edges() {
         let (g, p) = line_graph();
+        let live = LiveInEdges::new(&g, &p);
         let mut rng = StdRng::seed_from_u64(0);
         let mut scratch = BfsScratch::new(3);
         let mut out = Vec::new();
-        sample_rr_set(&mut rng, &g, &p, 2, &mut scratch, &mut out);
+        sample_rr_set(&mut rng, &live, 2, &mut scratch, &mut out);
         let mut sorted = out.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
-        sample_rr_set(&mut rng, &g, &p, 0, &mut scratch, &mut out);
+        sample_rr_set(&mut rng, &live, 0, &mut scratch, &mut out);
         assert_eq!(out, vec![0]);
     }
 
     #[test]
     fn zero_prob_edges_never_cross() {
         let g = DiGraph::from_edges(2, &[(0, 1)]).unwrap();
-        let p = MaterializedProbs(vec![0.0]);
+        let live = LiveInEdges::new(&g, &MaterializedProbs(vec![0.0]));
         let mut rng = StdRng::seed_from_u64(1);
         let mut scratch = BfsScratch::new(2);
         let mut out = Vec::new();
         for _ in 0..50 {
-            sample_rr_set(&mut rng, &g, &p, 1, &mut scratch, &mut out);
+            sample_rr_set(&mut rng, &live, 1, &mut scratch, &mut out);
             assert_eq!(out, vec![1]);
         }
     }
