@@ -13,7 +13,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod heuristics;
 pub mod maxcover;
 pub mod paper;
 

@@ -1,18 +1,24 @@
-//! `bench_solver` — emits the `BENCH_solver.json` perf-trajectory
-//! artifact for the branch-and-bound engines.
+//! `bench_solver` — emits the `BENCH_solver.json` artifact for the
+//! branch-and-bound engines.
 //!
 //! ```text
 //! bench_solver [--smoke] [--check] [--seed N] [--out FILE]
 //! ```
 //!
-//! * `--smoke` — one tiny instance (seconds; the CI mode)
-//! * `--check` — validate the report invariants and the written JSON,
-//!   exiting non-zero on violation
+//! * `--smoke` — one tiny instance (seconds)
+//! * `--check` — validate the report invariants and the written JSON; on
+//!   a full run, also require `tau_evaluations`, `nodes_expanded` and
+//!   `bounds_computed` to equal the checked-in `BENCH_solver.json` row by
+//!   row. Exits non-zero on any violation.
 //! * `--out`   — output path (default `BENCH_solver.json`)
 
 use oipa_bench::solver_suite::{
-    run_solver_suite, summary_text, validate_report, SolverSuiteConfig, SOLVER_SCHEMA,
+    compare_counts, run_solver_suite, summary_text, validate_report, SolverSuiteConfig,
+    SolverSuiteReport,
 };
+
+/// The checked-in artifact a full `--check` run is gated against.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
 
 fn main() {
     let mut smoke = false;
@@ -37,6 +43,9 @@ fn main() {
         }
     }
 
+    // Read the baseline before anything is written: `--out` may name it.
+    let baseline = (check && !smoke).then(|| read_report(BASELINE));
+
     let report = run_solver_suite(SolverSuiteConfig { smoke, seed });
     print!("{}", summary_text(&report));
     let json = serde_json::to_string_pretty(&report).unwrap_or_else(|e| die(&format!("{e}")));
@@ -47,21 +56,27 @@ fn main() {
         if let Err(e) = validate_report(&report) {
             die(&format!("validation failed: {e}"));
         }
-        // Round-trip the written file: it must be parseable JSON carrying
-        // the expected schema tag and record array.
-        let text = std::fs::read_to_string(&out).unwrap_or_else(|e| die(&format!("{e}")));
-        let value: serde_json::Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| die(&format!("invalid JSON: {e}")));
-        match value.get("schema") {
-            Some(serde_json::Value::String(s)) if s == SOLVER_SCHEMA => {}
-            other => die(&format!("schema field mismatch in {out}: {other:?}")),
+        // The written file must parse back to the same counts.
+        if let Err(e) = compare_counts(&report, &read_report(&out)) {
+            die(&format!("{out} does not round-trip: {e}"));
         }
-        match value.get("records") {
-            Some(serde_json::Value::Array(records)) if !records.is_empty() => {}
-            _ => die(&format!("records array missing or empty in {out}")),
+        if let Some(baseline) = baseline {
+            if let Err(e) = compare_counts(&baseline, &report) {
+                die(&format!(
+                    "counts differ from the checked-in BENCH_solver.json: {e}"
+                ));
+            }
+            println!("check passed: invariants hold, counts equal the checked-in baseline");
+        } else {
+            println!("check passed: invariants hold");
         }
-        println!("check passed: schema + invariants hold");
     }
+}
+
+fn read_report(path: &str) -> SolverSuiteReport {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| die(&format!("parsing {path}: {e}")))
 }
 
 fn die(msg: &str) -> ! {

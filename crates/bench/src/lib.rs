@@ -17,50 +17,23 @@
 //! sampling time … since the time is the same for all compared
 //! approaches"); sampling time itself is Table III's last row.
 //!
-//! Beyond the paper's artifacts, two suites track the repo's own perf
-//! trajectory: [`solver_suite`] (the `bench_solver` bin, also reachable
-//! as `oipa-cli bench solver`) emits `BENCH_solver.json` with wall-clock,
-//! τ-evaluation and search-shape counters for the incremental vs
-//! reference engines, [`service_suite`] (the `bench_service` bin /
-//! `oipa-cli bench service`) emits `BENCH_service.json` with cold-pool vs
-//! warm-pool request latency through the `PlannerService` arena,
-//! [`store_suite`] (the `bench_store` bin / `oipa-cli bench store`) emits
-//! `BENCH_store.json` with cold vs disk-warm vs mem-warm latency through
-//! the persistent pool store, and [`concurrent_suite`] (the
-//! `bench_concurrent` bin / `oipa-cli bench concurrent`) emits
-//! `BENCH_concurrent.json` with per-thread-count latency and
-//! requests/sec through one shared `&self` session, answers cross-checked
-//! bitwise against a sequential run, and [`serve_suite`] (the
-//! `bench_serve` bin / `oipa-cli bench serve`) emits `BENCH_serve.json`
-//! with open-loop p50/p99/p999 latency through a live `oipa-server` HTTP
-//! front door under a zipfian campaign-key mix, answers cross-checked
-//! bitwise against an in-process session, and [`dynamic_suite`] (the
-//! `bench_dynamic` bin / `oipa-cli bench dynamic`) emits
-//! `BENCH_dynamic.json` with delta-repair vs cold-resample latency
-//! through the epoch machinery, repaired answers cross-checked bitwise
-//! against a cold post-delta solve.
-//!
-//! Criterion micro/ablation benches live in `benches/`.
+//! Beyond the paper's artifacts, [`solver_suite`] (the `bench_solver`
+//! bin) emits `BENCH_solver.json`: τ evaluations (the paper's §V-C cost
+//! metric), nodes expanded and bounds computed for the incremental vs
+//! reference engines, with and without tangent-anchor refinement. Those
+//! counts are deterministic, and `bench_solver --check` requires them to
+//! equal the checked-in file's exactly. Wire-level serving performance
+//! is measured by `wirebench` (see `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod args;
-pub mod concurrent_suite;
-pub mod dynamic_suite;
 pub mod runner;
-pub mod serve_suite;
-pub mod service_suite;
 pub mod solver_suite;
-pub mod store_suite;
 pub mod table;
 
 pub use args::HarnessArgs;
-pub use concurrent_suite::{run_concurrent_suite, ConcurrentSuiteConfig, ConcurrentSuiteReport};
-pub use dynamic_suite::{run_dynamic_suite, DynamicSuiteConfig, DynamicSuiteReport};
 pub use runner::{run_all_methods, ExperimentSetup, MethodOutcome};
-pub use serve_suite::{run_serve_suite, ServeSuiteConfig, ServeSuiteReport};
-pub use service_suite::{run_service_suite, ServiceSuiteConfig, ServiceSuiteReport};
 pub use solver_suite::{run_solver_suite, SolverSuiteConfig, SolverSuiteReport};
-pub use store_suite::{run_store_suite, StoreSuiteConfig, StoreSuiteReport};
 pub use table::TablePrinter;

@@ -1,16 +1,20 @@
 //! The `solver` benchmark family: incremental vs reference
 //! branch-and-bound engines on seeded random instances.
 //!
-//! Produces the `BENCH_solver.json` perf-trajectory artifact with
-//! wall-clock, `tau_evaluations` (the paper's §V-C cost metric),
-//! `nodes_expanded`, and the incremental engine's cache/trail counters,
-//! so future perf PRs can regress against it. Reproduce with
-//! `oipa-cli bench solver [--smoke]` or
-//! `cargo run --release -p oipa-bench --bin bench_solver`.
+//! Produces the `BENCH_solver.json` artifact with wall-clock,
+//! `tau_evaluations` (the paper's §V-C cost metric), `nodes_expanded`,
+//! `bounds_computed`, and the incremental engine's cache/trail counters.
+//! Regenerate it with
+//! `cargo run --release -p oipa-bench --bin bench_solver`; `--check`
+//! gates the three search-effort counts exactly against the checked-in
+//! file ([`compare_counts`]).
 //!
 //! Every incremental run is paired with its reference run on the same
 //! instance and records whether the plans matched — the suite doubles as
-//! an end-to-end golden check of the engine-equivalence guarantee.
+//! an end-to-end golden check of the engine-equivalence guarantee. The
+//! `refine_anchors: false` rows are the tangent-refinement ablation
+//! (Fig. 2): every sample keeps its coverage-0 majorant, so bounds are
+//! looser and the search does more work for the same instance.
 
 use oipa_core::{BabConfig, BoundMethod, BranchAndBound, OipaInstance, Solution, SolverEngine};
 use oipa_sampler::testkit::small_random_instance;
@@ -18,22 +22,22 @@ use oipa_sampler::MrrPool;
 use oipa_topics::LogisticAdoption;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Schema identifier stamped into every report.
-pub const SOLVER_SCHEMA: &str = "oipa.bench.solver/v1";
+pub const SOLVER_SCHEMA: &str = "oipa.bench.solver/v2";
 
 /// Suite configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverSuiteConfig {
-    /// Tiny single-instance mode for CI smoke checks.
+    /// One tiny instance, run in seconds (not gated against the file).
     pub smoke: bool,
     /// Base seed for instance generation.
     pub seed: u64,
 }
 
-/// One (instance, method, engine) measurement.
-#[derive(Debug, Clone, Serialize)]
+/// One (instance, method, engine, refinement) measurement.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolverBenchRecord {
     /// Instance label.
     pub instance: String,
@@ -51,6 +55,8 @@ pub struct SolverBenchRecord {
     pub method: String,
     /// Engine (`reference` or `incremental`).
     pub engine: String,
+    /// Whether tangent anchors were refined (`false`: the ablation).
+    pub refine_anchors: bool,
     /// Wall-clock of `solve` in milliseconds.
     pub wall_ms: f64,
     /// τ marginal-gain evaluations (§V-C cost metric).
@@ -72,37 +78,24 @@ pub struct SolverBenchRecord {
     /// Certified upper bound (user units).
     pub upper_bound: f64,
     /// Whether this run's plan is identical to the reference engine's
-    /// plan on the same (instance, method). Always true by construction
-    /// for reference rows.
+    /// plan on the same (instance, method, refinement). Always true by
+    /// construction for reference rows.
     pub plan_matches_reference: bool,
 }
 
-/// Per-(instance, method) incremental-vs-reference ratios.
-#[derive(Debug, Clone, Serialize)]
-pub struct SolverSpeedup {
-    /// Instance label.
-    pub instance: String,
-    /// Bound method.
-    pub method: String,
-    /// `reference tau_evaluations / incremental tau_evaluations`.
-    pub tau_eval_ratio: f64,
-    /// `reference wall-clock / incremental wall-clock`.
-    pub wall_clock_ratio: f64,
-}
-
 /// The full suite report (the `BENCH_solver.json` payload).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolverSuiteReport {
-    /// Schema identifier (`oipa.bench.solver/v1`).
+    /// Schema identifier (`oipa.bench.solver/v2`).
     pub schema: String,
     /// Whether this was a smoke run.
     pub smoke: bool,
     /// Base seed.
     pub seed: u64,
+    /// `std::thread::available_parallelism()` of the host that ran it.
+    pub available_parallelism: usize,
     /// All measurements.
     pub records: Vec<SolverBenchRecord>,
-    /// Incremental-vs-reference summaries.
-    pub summary: Vec<SolverSpeedup>,
 }
 
 struct InstanceSpec {
@@ -172,9 +165,10 @@ fn instances(smoke: bool) -> Vec<InstanceSpec> {
     }
 }
 
-fn method_config(method: &str, max_nodes: usize) -> BabConfig {
+fn method_config(method: &str, max_nodes: usize, refine_anchors: bool) -> BabConfig {
     let base = BabConfig {
         max_nodes: Some(max_nodes),
+        refine_anchors,
         ..BabConfig::bab()
     };
     match method {
@@ -195,6 +189,7 @@ fn record(
     spec: &InstanceSpec,
     method: &str,
     engine: &str,
+    refine_anchors: bool,
     solution: &Solution,
     wall_ms: f64,
     plan_matches_reference: bool,
@@ -208,6 +203,7 @@ fn record(
         k: spec.k,
         method: method.to_string(),
         engine: engine.to_string(),
+        refine_anchors,
         wall_ms,
         tau_evaluations: solution.stats.tau_evaluations,
         nodes_expanded: solution.stats.nodes_expanded,
@@ -242,11 +238,11 @@ fn timed_solve(instance: &OipaInstance<'_>, config: BabConfig) -> (Solution, f64
 }
 
 /// Runs the suite: for each seeded instance, BAB (CELF) and BAB-P under
-/// both engines, plus the plain-greedy rescan baseline (reference engine
-/// only — it is the §V-C cost yardstick).
+/// both engines, BAB (CELF) without anchor refinement under both
+/// engines, plus the plain-greedy rescan baseline (reference engine only
+/// — it is the §V-C cost yardstick).
 pub fn run_solver_suite(config: SolverSuiteConfig) -> SolverSuiteReport {
     let mut records = Vec::new();
-    let mut summary = Vec::new();
     for spec in instances(config.smoke) {
         let mut rng = StdRng::seed_from_u64(spec.seed ^ config.seed);
         let (g, table, campaign) =
@@ -262,80 +258,51 @@ pub fn run_solver_suite(config: SolverSuiteConfig) -> SolverSuiteReport {
         let promoters: Vec<u32> = (0..spec.nodes).step_by(3).collect();
         let instance = OipaInstance::new(&pool, model, promoters, spec.k).unwrap();
 
-        // Plain-greedy rescan baseline (Algorithm 2 as printed).
-        let (plain, plain_ms) = timed_solve(
-            &instance,
-            BabConfig {
-                engine: SolverEngine::Reference,
-                ..method_config("bab-plain", spec.max_nodes)
-            },
-        );
-        records.push(record(
-            &spec,
-            "bab-plain",
-            "reference",
-            &plain,
-            plain_ms,
-            true,
-        ));
-
-        for method in ["bab-celf", "bab-p"] {
-            let base = method_config(method, spec.max_nodes);
-            let (reference, reference_ms) = timed_solve(
-                &instance,
-                BabConfig {
-                    engine: SolverEngine::Reference,
-                    ..base
-                },
-            );
-            let (incremental, incremental_ms) = timed_solve(
-                &instance,
-                BabConfig {
-                    engine: SolverEngine::Incremental,
-                    ..base
-                },
-            );
-            let matches = reference.plan == incremental.plan
-                && reference.utility.to_bits() == incremental.utility.to_bits();
-            summary.push(SolverSpeedup {
-                instance: spec.label.to_string(),
-                method: method.to_string(),
-                tau_eval_ratio: reference.stats.tau_evaluations as f64
-                    / incremental.stats.tau_evaluations.max(1) as f64,
-                wall_clock_ratio: reference_ms / incremental_ms.max(1e-9),
-            });
-            records.push(record(
-                &spec,
-                method,
-                "reference",
-                &reference,
-                reference_ms,
-                true,
-            ));
-            records.push(record(
-                &spec,
-                method,
-                "incremental",
-                &incremental,
-                incremental_ms,
-                matches,
-            ));
+        // The plain-greedy rescan (Algorithm 2 as printed) runs on the
+        // reference engine only; every other configuration runs on both,
+        // and the incremental row records whether it reproduced the
+        // reference plan.
+        let both = &[SolverEngine::Reference, SolverEngine::Incremental][..];
+        for (method, refine, engines) in [
+            ("bab-plain", true, &both[..1]),
+            ("bab-celf", true, both),
+            ("bab-p", true, both),
+            ("bab-celf", false, both),
+        ] {
+            let mut reference: Option<Solution> = None;
+            for &engine in engines {
+                let config = BabConfig {
+                    engine,
+                    ..method_config(method, spec.max_nodes, refine)
+                };
+                let (solution, wall_ms) = timed_solve(&instance, config);
+                let matches = reference.as_ref().is_none_or(|r| {
+                    r.plan == solution.plan && r.utility.to_bits() == solution.utility.to_bits()
+                });
+                let name = match engine {
+                    SolverEngine::Reference => "reference",
+                    SolverEngine::Incremental => "incremental",
+                };
+                records.push(record(
+                    &spec, method, name, refine, &solution, wall_ms, matches,
+                ));
+                reference.get_or_insert(solution);
+            }
         }
     }
     SolverSuiteReport {
         schema: SOLVER_SCHEMA.to_string(),
         smoke: config.smoke,
         seed: config.seed,
+        available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         records,
-        summary,
     }
 }
 
-/// Validates a report's schema and the invariants the CI smoke step
-/// asserts: CELF never evaluates more than the plain-greedy rescan,
-/// every incremental run returned the reference plan with no more
-/// evaluations, and (full runs only) the incremental engine cut CELF τ
-/// evaluations by ≥2× in aggregate.
+/// Validates a report's schema and its invariants: CELF never evaluates
+/// more than the plain-greedy rescan, every incremental run returned the
+/// reference plan with no more evaluations, and (full runs only) the
+/// incremental engine cut refined CELF τ evaluations by ≥2× in aggregate.
 pub fn validate_report(report: &SolverSuiteReport) -> Result<(), String> {
     if report.schema != SOLVER_SCHEMA {
         return Err(format!(
@@ -346,37 +313,38 @@ pub fn validate_report(report: &SolverSuiteReport) -> Result<(), String> {
     if report.records.is_empty() {
         return Err("no records".to_string());
     }
-    let find = |instance: &str, method: &str, engine: &str| {
-        report
-            .records
-            .iter()
-            .find(|r| r.instance == instance && r.method == method && r.engine == engine)
+    let find = |r: &SolverBenchRecord, method: &str, engine: &str| {
+        report.records.iter().find(|o| {
+            o.instance == r.instance
+                && o.method == method
+                && o.engine == engine
+                && o.refine_anchors == r.refine_anchors
+        })
     };
     let mut celf_ref_total = 0u64;
     let mut celf_inc_total = 0u64;
     for r in &report.records {
         if !r.plan_matches_reference {
-            return Err(format!(
-                "{}/{}/{}: plan diverged from reference",
-                r.instance, r.method, r.engine
-            ));
+            return Err(format!("{}: plan diverged from reference", row_label(r)));
         }
         if r.engine == "incremental" {
-            let reference = find(&r.instance, &r.method, "reference")
-                .ok_or_else(|| format!("{}/{}: missing reference row", r.instance, r.method))?;
+            let reference = find(r, &r.method, "reference")
+                .ok_or_else(|| format!("{}: missing reference row", row_label(r)))?;
             if r.tau_evaluations > reference.tau_evaluations {
                 return Err(format!(
-                    "{}/{}: incremental used more τ evaluations ({} > {})",
-                    r.instance, r.method, r.tau_evaluations, reference.tau_evaluations
+                    "{}: incremental used more τ evaluations ({} > {})",
+                    row_label(r),
+                    r.tau_evaluations,
+                    reference.tau_evaluations
                 ));
             }
-            if r.method == "bab-celf" {
+            if r.method == "bab-celf" && r.refine_anchors {
                 celf_ref_total += reference.tau_evaluations;
                 celf_inc_total += r.tau_evaluations;
             }
         }
-        if r.method == "bab-celf" && r.engine == "reference" {
-            let plain = find(&r.instance, "bab-plain", "reference")
+        if r.method == "bab-celf" && r.engine == "reference" && r.refine_anchors {
+            let plain = find(r, "bab-plain", "reference")
                 .ok_or_else(|| format!("{}: missing bab-plain row", r.instance))?;
             if r.tau_evaluations > plain.tau_evaluations {
                 return Err(format!(
@@ -394,27 +362,90 @@ pub fn validate_report(report: &SolverSuiteReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the human-readable summary table printed by the bin and CLI.
+fn row_label(r: &SolverBenchRecord) -> String {
+    let refined = if r.refine_anchors { "" } else { "/unrefined" };
+    format!("{}/{}/{}{refined}", r.instance, r.method, r.engine)
+}
+
+/// The exact gate: `actual` must carry the same rows as `expected`, in
+/// the same order, with equal `tau_evaluations`, `nodes_expanded` and
+/// `bounds_computed`. These counts are deterministic for a given seed,
+/// so any difference is a change in search behaviour, never noise.
+/// Wall-clock and the remaining fields are not compared.
+pub fn compare_counts(
+    expected: &SolverSuiteReport,
+    actual: &SolverSuiteReport,
+) -> Result<(), String> {
+    if (expected.schema.as_str(), expected.smoke, expected.seed)
+        != (actual.schema.as_str(), actual.smoke, actual.seed)
+    {
+        return Err(format!(
+            "run differs from the baseline: schema {} / smoke {} / seed {} vs {} / {} / {}",
+            actual.schema,
+            actual.smoke,
+            actual.seed,
+            expected.schema,
+            expected.smoke,
+            expected.seed
+        ));
+    }
+    if expected.records.len() != actual.records.len() {
+        return Err(format!(
+            "{} rows vs {} in the baseline",
+            actual.records.len(),
+            expected.records.len()
+        ));
+    }
+    let mut diffs = Vec::new();
+    for (e, a) in expected.records.iter().zip(&actual.records) {
+        let (label, baseline_label) = (row_label(a), row_label(e));
+        if label != baseline_label {
+            return Err(format!(
+                "row {label} where the baseline has {baseline_label}"
+            ));
+        }
+        let counts = [
+            ("tau_evaluations", e.tau_evaluations, a.tau_evaluations),
+            (
+                "nodes_expanded",
+                e.nodes_expanded as u64,
+                a.nodes_expanded as u64,
+            ),
+            (
+                "bounds_computed",
+                e.bounds_computed as u64,
+                a.bounds_computed as u64,
+            ),
+        ];
+        for (field, want, got) in counts {
+            if want != got {
+                diffs.push(format!("{label}: {field} {got} (baseline {want})"));
+            }
+        }
+    }
+    if diffs.is_empty() {
+        Ok(())
+    } else {
+        Err(diffs.join("; "))
+    }
+}
+
+/// Renders the human-readable table printed by the bin.
 pub fn summary_text(report: &SolverSuiteReport) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} {:>9} {:>12} {:>13} {:>9} {:>9}",
-        "instance", "method", "engine", "tau_evals", "nodes", "wall_ms"
+    let mut out = format!(
+        "{:<34} {:>9} {:>6} {:>7} {:>8}\n",
+        "instance/method/engine", "tau_evals", "nodes", "bounds", "wall_ms"
     );
     for r in &report.records {
         let _ = writeln!(
             out,
-            "{:<10} {:>9} {:>12} {:>13} {:>9} {:>9.1}",
-            r.instance, r.method, r.engine, r.tau_evaluations, r.nodes_expanded, r.wall_ms
-        );
-    }
-    for s in &report.summary {
-        let _ = writeln!(
-            out,
-            "speedup {:<10} {:>9}: tau_evals {:.2}x, wall {:.2}x",
-            s.instance, s.method, s.tau_eval_ratio, s.wall_clock_ratio
+            "{:<34} {:>9} {:>6} {:>7} {:>8.1}",
+            row_label(r),
+            r.tau_evaluations,
+            r.nodes_expanded,
+            r.bounds_computed,
+            r.wall_ms
         );
     }
     out
@@ -424,17 +455,59 @@ pub fn summary_text(report: &SolverSuiteReport) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn smoke_suite_passes_validation() {
-        let report = run_solver_suite(SolverSuiteConfig {
+    fn smoke() -> SolverSuiteReport {
+        run_solver_suite(SolverSuiteConfig {
             smoke: true,
             seed: 0,
-        });
-        // 1 instance × (1 plain + 2 methods × 2 engines) = 5 rows.
-        assert_eq!(report.records.len(), 5);
-        assert_eq!(report.summary.len(), 2);
+        })
+    }
+
+    #[test]
+    fn smoke_suite_passes_validation() {
+        let report = smoke();
+        // 1 instance × (1 plain + 3 (method, refinement) pairs × 2 engines).
+        assert_eq!(report.records.len(), 7);
+        assert_eq!(
+            report.records.iter().filter(|r| !r.refine_anchors).count(),
+            2
+        );
         validate_report(&report).expect("smoke report must validate");
         let text = summary_text(&report);
         assert!(text.contains("bab-celf"));
+    }
+
+    #[test]
+    fn exact_gate_passes_a_json_round_trip_and_fails_any_perturbed_count() {
+        let report = smoke();
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        let parsed: SolverSuiteReport = serde_json::from_str(&json).unwrap();
+        compare_counts(&parsed, &report).expect("a round trip keeps every count");
+
+        for (row, field) in [
+            (0, "tau_evaluations"),
+            (3, "nodes_expanded"),
+            (6, "bounds_computed"),
+        ] {
+            let mut perturbed = report.clone();
+            let r = &mut perturbed.records[row];
+            match field {
+                "tau_evaluations" => r.tau_evaluations += 1,
+                "nodes_expanded" => r.nodes_expanded += 1,
+                _ => r.bounds_computed += 1,
+            }
+            let err = compare_counts(&report, &perturbed).unwrap_err();
+            assert!(err.contains(field), "{err}");
+            assert!(err.contains(&row_label(&report.records[row])), "{err}");
+        }
+
+        let mut missing = report.clone();
+        missing.records.pop();
+        assert!(compare_counts(&report, &missing).is_err());
+        let mut reordered = report.clone();
+        reordered.records.swap(1, 2);
+        assert!(compare_counts(&report, &reordered).is_err());
+        let mut reseeded = report.clone();
+        reseeded.seed = 1;
+        assert!(compare_counts(&report, &reseeded).is_err());
     }
 }

@@ -39,138 +39,10 @@ pub fn run(args: &ParsedArgs) -> Result<String, OipaError> {
         "solve" => cmd_solve(args),
         "simulate" => cmd_simulate(args),
         "batch" => cmd_batch(args),
-        "bench" => cmd_bench(args),
         "store" => cmd_store(args),
         "obs" => cmd_obs(args),
         other => Err(OipaError::InvalidConfig {
             what: format!("unknown command {other:?}"),
-        }),
-    }
-}
-
-/// `oipa-cli bench <suite>` — reproduces the checked-in perf artifacts
-/// (`BENCH_solver.json`, `BENCH_service.json`).
-fn cmd_bench(args: &ParsedArgs) -> Result<String, OipaError> {
-    let suite = args.positional.as_deref().unwrap_or("solver");
-    match suite {
-        "solver" => {
-            let config = oipa_bench::solver_suite::SolverSuiteConfig {
-                smoke: args.parsed_or("smoke", false)?,
-                seed: args.parsed_or("seed", 0u64)?,
-            };
-            let report = oipa_bench::solver_suite::run_solver_suite(config);
-            oipa_bench::solver_suite::validate_report(&report).map_err(|e| {
-                OipaError::Mismatch {
-                    what: format!("solver bench invariants violated: {e}"),
-                }
-            })?;
-            let out = args.optional("out").unwrap_or("BENCH_solver.json");
-            save_json(&report, out, "bench report")?;
-            let mut text = oipa_bench::solver_suite::summary_text(&report);
-            write!(text, "wrote {out} ({} records)", report.records.len()).expect("string write");
-            Ok(text)
-        }
-        "service" => {
-            let config = oipa_bench::service_suite::ServiceSuiteConfig {
-                smoke: args.parsed_or("smoke", false)?,
-                seed: args.parsed_or("seed", 0u64)?,
-            };
-            let report = oipa_bench::service_suite::run_service_suite(config);
-            oipa_bench::service_suite::validate_report(&report).map_err(|e| {
-                OipaError::Mismatch {
-                    what: format!("service bench invariants violated: {e}"),
-                }
-            })?;
-            let out = args.optional("out").unwrap_or("BENCH_service.json");
-            save_json(&report, out, "bench report")?;
-            let mut text = oipa_bench::service_suite::summary_text(&report);
-            write!(text, "wrote {out} ({} records)", report.records.len()).expect("string write");
-            Ok(text)
-        }
-        "store" => {
-            let config = oipa_bench::store_suite::StoreSuiteConfig {
-                smoke: args.parsed_or("smoke", false)?,
-                seed: args.parsed_or("seed", 0u64)?,
-                store_dir: args.optional("store-dir").map(Into::into),
-            };
-            let report =
-                oipa_bench::store_suite::run_store_suite(config).map_err(|e| OipaError::Io {
-                    what: "running the store bench".to_string(),
-                    detail: e.to_string(),
-                })?;
-            oipa_bench::store_suite::validate_report(&report).map_err(|e| OipaError::Mismatch {
-                what: format!("store bench invariants violated: {e}"),
-            })?;
-            let out = args.optional("out").unwrap_or("BENCH_store.json");
-            save_json(&report, out, "bench report")?;
-            let mut text = oipa_bench::store_suite::summary_text(&report);
-            write!(text, "wrote {out} ({} records)", report.records.len()).expect("string write");
-            Ok(text)
-        }
-        "concurrent" => {
-            let config = oipa_bench::concurrent_suite::ConcurrentSuiteConfig {
-                smoke: args.parsed_or("smoke", false)?,
-                seed: args.parsed_or("seed", 0u64)?,
-            };
-            let report = oipa_bench::concurrent_suite::run_concurrent_suite(config);
-            oipa_bench::concurrent_suite::validate_report(&report).map_err(|e| {
-                OipaError::Mismatch {
-                    what: format!("concurrent bench invariants violated: {e}"),
-                }
-            })?;
-            let out = args.optional("out").unwrap_or("BENCH_concurrent.json");
-            save_json(&report, out, "bench report")?;
-            let mut text = oipa_bench::concurrent_suite::summary_text(&report);
-            write!(text, "wrote {out} ({} records)", report.records.len()).expect("string write");
-            Ok(text)
-        }
-        "serve" => {
-            let config = oipa_bench::serve_suite::ServeSuiteConfig {
-                smoke: args.parsed_or("smoke", false)?,
-                seed: args.parsed_or("seed", 0u64)?,
-                rate: args.parsed("rate")?,
-            };
-            let report =
-                oipa_bench::serve_suite::run_serve_suite(config).map_err(|e| OipaError::Io {
-                    what: "running the serve bench".to_string(),
-                    detail: e,
-                })?;
-            oipa_bench::serve_suite::validate_report(&report).map_err(|e| OipaError::Mismatch {
-                what: format!("serve bench invariants violated: {e}"),
-            })?;
-            let out = args.optional("out").unwrap_or("BENCH_serve.json");
-            save_json(&report, out, "bench report")?;
-            let mut text = oipa_bench::serve_suite::summary_text(&report);
-            write!(text, "wrote {out} ({} records)", report.records.len()).expect("string write");
-            Ok(text)
-        }
-        "dynamic" => {
-            let config = oipa_bench::dynamic_suite::DynamicSuiteConfig {
-                smoke: args.parsed_or("smoke", false)?,
-                seed: args.parsed_or("seed", 0u64)?,
-            };
-            let report = oipa_bench::dynamic_suite::run_dynamic_suite(config).map_err(|e| {
-                OipaError::Io {
-                    what: "running the dynamic bench".to_string(),
-                    detail: e,
-                }
-            })?;
-            oipa_bench::dynamic_suite::validate_report(&report).map_err(|e| {
-                OipaError::Mismatch {
-                    what: format!("dynamic bench invariants violated: {e}"),
-                }
-            })?;
-            let out = args.optional("out").unwrap_or("BENCH_dynamic.json");
-            save_json(&report, out, "bench report")?;
-            let mut text = oipa_bench::dynamic_suite::summary_text(&report);
-            write!(text, "wrote {out} ({} records)", report.records.len()).expect("string write");
-            Ok(text)
-        }
-        other => Err(OipaError::InvalidConfig {
-            what: format!(
-                "unknown bench suite {other:?} (available: solver, service, store, \
-                 concurrent, serve, dynamic)"
-            ),
         }),
     }
 }
@@ -1503,69 +1375,6 @@ mod tests {
         let err = run_words(&["solve", "--graph", &g, "--probs", &p]).unwrap_err();
         assert!(err.to_string().contains("--ell"), "{err}");
         assert_eq!(err.exit_code(), 2);
-    }
-
-    #[test]
-    fn bench_store_smoke() {
-        let out = tmp("bench_store.json");
-        let dir = tmp("bench_store.dir");
-        let report = run_words(&[
-            "bench",
-            "store",
-            "--smoke",
-            "true",
-            "--out",
-            &out,
-            "--store-dir",
-            &dir,
-        ])
-        .unwrap();
-        assert!(report.contains("disk_warm"), "{report}");
-        assert!(report.contains("speedup"), "{report}");
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("oipa.bench.store/v2"));
-    }
-
-    #[test]
-    fn bench_solver_smoke() {
-        let out = tmp("bench_solver.json");
-        let report = run_words(&["bench", "solver", "--smoke", "true", "--out", &out]).unwrap();
-        assert!(report.contains("bab-celf"), "{report}");
-        assert!(report.contains("speedup"), "{report}");
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("oipa.bench.solver/v1"));
-        // Unknown suites are rejected with the available list.
-        let err = run_words(&["bench", "nope"]).unwrap_err();
-        assert!(err.to_string().contains("available: solver, service"));
-    }
-
-    #[test]
-    fn bench_service_smoke() {
-        let out = tmp("bench_service.json");
-        let report = run_words(&["bench", "service", "--smoke", "true", "--out", &out]).unwrap();
-        assert!(report.contains("warm"), "{report}");
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("oipa.bench.service/v1"));
-    }
-
-    #[test]
-    fn bench_concurrent_smoke() {
-        let out = tmp("bench_concurrent.json");
-        let report = run_words(&["bench", "concurrent", "--smoke", "true", "--out", &out]).unwrap();
-        assert!(report.contains("cold race"), "{report}");
-        assert!(report.contains("sampled exactly once: true"), "{report}");
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("oipa.bench.concurrent/v2"));
-    }
-
-    #[test]
-    fn bench_dynamic_smoke() {
-        let out = tmp("bench_dynamic.json");
-        let report = run_words(&["bench", "dynamic", "--smoke", "true", "--out", &out]).unwrap();
-        assert!(report.contains("single_edge"), "{report}");
-        assert!(report.contains("one_percent"), "{report}");
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("oipa.bench.dynamic/v1"));
     }
 
     /// `batch --threads N` must produce the same answers, in the same

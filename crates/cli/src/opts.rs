@@ -30,9 +30,6 @@ commands:
             [--out FILE] [--check true] [--store-dir DIR] [--shards N]
             [--eviction lru|lfu] [--region-bytes N] [--threads N]
             [--fault-schedule SPEC]
-  bench     solver|service|store|concurrent|serve [--smoke true] [--seed N]
-            [--out FILE] [--store-dir DIR] [--rate RPS]
-            [--fault-schedule SPEC]
   store     ls|verify|gc --dir DIR
   obs       dump --addr HOST:PORT
 
@@ -138,18 +135,6 @@ const COMMANDS: &[CommandSpec] = &[
         ],
     },
     CommandSpec {
-        name: "bench",
-        takes_positional: true,
-        flags: &[
-            "smoke",
-            "seed",
-            "out",
-            "store-dir",
-            "rate",
-            "fault-schedule",
-        ],
-    },
-    CommandSpec {
         name: "store",
         takes_positional: true,
         flags: &["dir"],
@@ -222,8 +207,8 @@ fn hint(got: &str, candidates: &[&'static str]) -> String {
 pub struct ParsedArgs {
     /// The subcommand.
     pub command: String,
-    /// The positional subject (only the `bench` command takes one: the
-    /// suite name, e.g. `bench solver`).
+    /// The positional subject of `store` and `obs`: the action, e.g.
+    /// `store ls`.
     pub positional: Option<String>,
     flags: BTreeMap<String, String>,
 }

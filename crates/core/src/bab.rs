@@ -40,9 +40,9 @@
 //! coverage state plus order-independent floating-point folds (see
 //! `tau.rs`), and CELF commits are invariant to seed values as long as
 //! those are valid upper bounds (see `greedy.rs`). The incremental engine
-//! simply spends far fewer τ evaluations getting there; the `solver`
-//! bench family (`oipa-cli bench solver`, `BENCH_solver.json`) tracks the
-//! ratio.
+//! simply spends far fewer τ evaluations getting there; `bench_solver`
+//! (`BENCH_solver.json`) records both engines' counts and gates them
+//! exactly.
 //!
 //! [`TangentTable::diagonal_inflation`]: crate::tangent::TangentTable::diagonal_inflation
 

@@ -38,9 +38,7 @@ pub mod delta;
 pub mod generators;
 pub mod hashing;
 pub mod io;
-pub mod pagerank;
 pub mod stats;
-pub mod subgraph;
 pub mod traverse;
 
 pub use builder::{DedupPolicy, GraphBuilder};

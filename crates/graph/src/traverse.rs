@@ -1,9 +1,9 @@
 //! Traversals: BFS reachability, forward/backward closure, weakly-connected
 //! components.
 //!
-//! These power the cascade simulator (forward closure over a sampled live
-//! subgraph) and dataset sanity checks (component structure of generated
-//! networks).
+//! [`BfsScratch`] is the visited set of every RR-set walk in the sampler;
+//! the reachability and component functions check the structure of
+//! generated networks.
 
 use crate::csr::{DiGraph, NodeId};
 

@@ -1,6 +1,6 @@
 //! Property-based invariants of the graph substrate.
 
-use oipa_graph::{generators, io, stats, subgraph, traverse, DedupPolicy, DiGraph};
+use oipa_graph::{generators, io, stats, traverse, DedupPolicy, DiGraph};
 use proptest::prelude::*;
 
 /// Arbitrary edge list over a bounded node universe.
@@ -78,45 +78,6 @@ proptest! {
         prop_assert!(labels.iter().all(|&l| (l as usize) < count));
         for e in g.edges() {
             prop_assert_eq!(labels[e.source as usize], labels[e.target as usize]);
-        }
-    }
-
-    /// Induced subgraph of everything is the identity; of nothing, empty;
-    /// edge mapping is consistent.
-    #[test]
-    fn subgraph_extremes((n, edges) in edges_strategy(25, 60)) {
-        let g = DiGraph::from_edges(n, &edges).unwrap();
-        let all = subgraph::induced_subgraph(&g, 0..n);
-        prop_assert_eq!(&all.graph, &g);
-        let none = subgraph::induced_subgraph(&g, std::iter::empty());
-        prop_assert_eq!(none.graph.node_count(), 0);
-        // Half extraction: every kept edge's endpoints are kept nodes.
-        let half = subgraph::induced_subgraph(&g, (0..n).filter(|v| v % 2 == 0));
-        for e in half.graph.edges() {
-            let old_s = half.old_of_new[e.source as usize];
-            let old_t = half.old_of_new[e.target as usize];
-            prop_assert!(old_s % 2 == 0 && old_t % 2 == 0);
-            prop_assert!(g.find_edge(old_s, old_t).is_some());
-        }
-    }
-
-    /// Core numbers never exceed total degree and peel monotonically:
-    /// the k-core subgraph has min total degree ≥ k (within the subgraph).
-    #[test]
-    fn core_number_bounds((n, edges) in edges_strategy(25, 80)) {
-        let g = DiGraph::from_edges(n, &edges).unwrap();
-        let core = subgraph::core_numbers(&g);
-        for v in g.nodes() {
-            prop_assert!(core[v as usize] as usize <= g.out_degree(v) + g.in_degree(v));
-        }
-        let k = 2;
-        let ex = subgraph::k_core(&g, k);
-        for v in ex.graph.nodes() {
-            let total = ex.graph.out_degree(v) + ex.graph.in_degree(v);
-            prop_assert!(
-                total >= k as usize || ex.graph.node_count() == 0,
-                "k-core node {v} has degree {total}"
-            );
         }
     }
 

@@ -19,9 +19,8 @@
 //!   and cache.
 //! * **Histograms are HDR-style**: log₂ octaves refined by 64 linear
 //!   sub-buckets (≤ 1.6% relative quantization error), with exact
-//!   atomic `count`/`sum`/`max` on the side. Percentile readout uses the
-//!   same ceil-rank order-statistic rule as the bench suite, so runtime
-//!   p50/p99/p999 and `BENCH_serve.json` report identical math.
+//!   atomic `count`/`sum`/`max` on the side. Percentile readout is the
+//!   ceil-rank order statistic ([`Histogram::percentile`]).
 //! * **Pull, don't push.** [`Registry::render`] walks the registered
 //!   series and any [collector closures](Registry::register_collector)
 //!   and emits Prometheus text exposition (`text/plain; version=0.0.4`).

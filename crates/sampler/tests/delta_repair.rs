@@ -4,11 +4,14 @@
 //!
 //! If this property holds, every downstream consumer (solvers, the pool
 //! store, the service) is delta-oblivious: a repaired pool is
-//! indistinguishable from one sampled from scratch.
+//! indistinguishable from one sampled from scratch. On a weighted-cascade
+//! instance, repair must also be surgical: it re-walks at most a tenth of
+//! the sets.
 
 use oipa_graph::{DiGraph, EdgeChange, GraphDelta, NodeId, TopicProb};
 use oipa_sampler::testkit::small_random_instance;
 use oipa_sampler::MrrPool;
+use oipa_topics::{Campaign, EdgeTopicProbs, SynthesisParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -157,5 +160,118 @@ proptest! {
     #[test]
     fn repair_equals_cold_four_threads(case_seed in 0u64..1_000_000) {
         run_sequence(case_seed, 3, 4, 1);
+    }
+}
+
+/// A weighted-cascade instance (`p(e|z)` scaled by `1/in_degree`, the
+/// IM-literature convention): cascades are subcritical and RR sets are
+/// small next to the graph, so a dirty target kills few walks.
+fn weighted_cascade_instance(seed: u64) -> (DiGraph, EdgeTopicProbs, Campaign) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let graph = oipa_graph::generators::erdos_renyi_gnm(&mut rng, 400, 3_200);
+    let table = oipa_topics::synthesize_random(
+        &mut rng,
+        &graph,
+        SynthesisParams {
+            topic_count: 4,
+            avg_support: 1.5,
+            max_prob: 0.8,
+            weighted_cascade: true,
+        },
+    );
+    let campaign = Campaign::sample_one_hot(&mut rng, 4, 3);
+    (graph, table, campaign)
+}
+
+fn in_degrees(graph: &DiGraph) -> Vec<usize> {
+    let mut degree = vec![0usize; graph.node_count()];
+    for edge in graph.edges() {
+        degree[edge.target as usize] += 1;
+    }
+    degree
+}
+
+/// A fresh single-topic row, scaled by the target's in-degree to stay in
+/// the weighted-cascade regime.
+fn cascade_row(rng: &mut StdRng, topic_count: usize, in_degree: usize) -> Vec<TopicProb> {
+    vec![TopicProb {
+        topic: rng.gen_range(0..topic_count) as u16,
+        prob: rng.gen_range(0.05..0.8f32) / in_degree.max(1) as f32,
+    }]
+}
+
+/// Reweights exactly one edge.
+fn single_edge_delta(rng: &mut StdRng, graph: &DiGraph, topic_count: usize) -> GraphDelta {
+    let edge = graph
+        .edges()
+        .nth(rng.gen_range(0..graph.edge_count()))
+        .unwrap();
+    let in_degree = in_degrees(graph)[edge.target as usize];
+    GraphDelta {
+        reweight: vec![EdgeChange {
+            source: edge.source,
+            target: edge.target,
+            probs: cascade_row(rng, topic_count, in_degree),
+        }],
+        ..GraphDelta::default()
+    }
+}
+
+/// Re-estimates every in-edge of the highest-in-degree nodes until at
+/// least 1% of the edges have changed: many edges, few dirty targets.
+fn one_percent_delta(rng: &mut StdRng, graph: &DiGraph, topic_count: usize) -> GraphDelta {
+    let degree = in_degrees(graph);
+    let mut order: Vec<usize> = (0..graph.node_count()).collect();
+    order.sort_by_key(|&v| std::cmp::Reverse(degree[v]));
+    let mut hubs = std::collections::HashSet::new();
+    let mut covered = 0;
+    for &v in &order {
+        if covered >= graph.edge_count() / 100 {
+            break;
+        }
+        hubs.insert(v as NodeId);
+        covered += degree[v];
+    }
+    let mut delta = GraphDelta::default();
+    for edge in graph.edges().filter(|e| hubs.contains(&e.target)) {
+        delta.reweight.push(EdgeChange {
+            source: edge.source,
+            target: edge.target,
+            probs: cascade_row(rng, topic_count, degree[edge.target as usize]),
+        });
+    }
+    delta
+}
+
+/// Both weighted-cascade deltas: the repaired pool equals a cold one on
+/// the post-delta inputs, and the repair re-walked some, but at most a
+/// tenth, of the sets — so it samples at most a tenth of what a cold
+/// resample does.
+#[test]
+fn weighted_cascade_repair_rewalks_at_most_a_tenth_of_the_sets() {
+    let (graph, table, campaign) = weighted_cascade_instance(0xd14a);
+    let (theta, seed) = (5_000, 0xd15c);
+    let pool = MrrPool::generate(&graph, &table, &campaign, theta, seed);
+    let mut rng = StdRng::seed_from_u64(0xde17a);
+    let deltas = [
+        ("single_edge", single_edge_delta(&mut rng, &graph, 4)),
+        ("one_percent", one_percent_delta(&mut rng, &graph, 4)),
+    ];
+    for (scenario, delta) in deltas {
+        let app = graph.apply_delta(&delta).unwrap();
+        let post_table = table.apply_delta(&delta, &app).unwrap();
+        let (repaired, outcome) = pool
+            .repaired(&app.graph, &post_table, &campaign, &app.dirty_targets, seed)
+            .unwrap();
+        assert_eq!(outcome.sets_total, theta * campaign.len());
+        assert!(outcome.sets_resampled > 0, "{scenario}: no walk was dead");
+        assert!(
+            10 * outcome.sets_resampled <= outcome.sets_total,
+            "{scenario}: repair re-walked {} of {} sets",
+            outcome.sets_resampled,
+            outcome.sets_total
+        );
+        let cold = MrrPool::generate(&app.graph, &post_table, &campaign, theta, seed);
+        assert_pools_bitwise_equal(&repaired, &cold, scenario);
     }
 }

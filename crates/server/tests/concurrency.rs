@@ -1,7 +1,8 @@
 //! Concurrency suite over real sockets: N client threads hammering one
 //! server must get answers bitwise-identical to in-process calls, a
-//! shared cold key must be sampled exactly once, and the connection cap
-//! must reject with 503 only above the cap — then recover cleanly.
+//! primed key set must be served without sampling, a shared cold key
+//! must be sampled exactly once, and the connection cap must reject with
+//! 503 only above the cap — then recover cleanly.
 
 mod common;
 
@@ -76,6 +77,67 @@ fn wire_answers_match_in_process_bitwise() {
         }
     }
     assert_eq!(handle.requests(), (threads * requests.len()) as u64);
+    assert_eq!(handle.rejected_503(), 0, "nothing should hit the cap here");
+    handle.shutdown();
+}
+
+/// A cold phase over distinct keys, then a warm phase of several
+/// clients over the same keys: every cold request misses, every warm
+/// request hits and returns the cold answer, the server's own sampling
+/// counter stays at one per key (a warm hit runs no sampling), and
+/// nothing is rejected under the connection cap.
+#[test]
+fn primed_keys_are_served_over_the_wire_without_sampling() {
+    let (handle, _service) = spawn(ServerConfig::default());
+    let addr = handle.addr();
+    let requests: Vec<_> = (21..25u64)
+        .map(|seed| solve_request(2, 2_000, seed))
+        .collect();
+
+    let cold: Vec<SolveResponse> = requests.iter().map(|r| solve_over_wire(addr, r)).collect();
+    assert!(
+        cold.iter().all(|r| !r.pool_cache_hit),
+        "a cold phase over distinct keys cannot hit"
+    );
+
+    let clients = 3;
+    let rounds = 2;
+    let warm: Vec<(usize, SolveResponse)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let requests = &requests;
+                scope.spawn(move || {
+                    (0..rounds * requests.len())
+                        .map(|i| {
+                            let key = (i + c) % requests.len();
+                            (key, solve_over_wire(addr, &requests[key]))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread panicked"))
+            .collect()
+    });
+    assert_eq!(warm.len(), clients * rounds * requests.len());
+    for (key, response) in &warm {
+        assert!(response.pool_cache_hit, "warm request for key {key} missed");
+        assert_eq!(answer(response), answer(&cold[*key]), "key {key} diverged");
+    }
+
+    let metrics = request(addr, "GET", "/metrics", None);
+    let sampled = metrics
+        .body_str()
+        .lines()
+        .find_map(|l| l.strip_prefix("oipa_pool_requests_total{outcome=\"sampled\"} "))
+        .expect("the sampling counter is exported");
+    assert_eq!(
+        sampled,
+        requests.len().to_string(),
+        "one sampling run per key"
+    );
     assert_eq!(handle.rejected_503(), 0, "nothing should hit the cap here");
     handle.shutdown();
 }

@@ -45,7 +45,8 @@ fn answer(r: &SolveResponse) -> (String, u64, Option<u64>, usize) {
 
 /// The tentpole acceptance gate: M threads × K requests over shared keys
 /// answer bitwise-identically to the sequential run, at every thread
-/// count.
+/// count, and a second (warm) pass of the same threads hits on every
+/// request.
 #[test]
 fn threaded_answers_match_sequential_bitwise() {
     let (_, _, campaign) = instance();
@@ -112,6 +113,20 @@ fn threaded_answers_match_sequential_bitwise() {
                 );
             }
         }
+        // Warm pass: every key is cached now, so every request of every
+        // thread hits and answers what the sequential run answered.
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (shared, requests, reference) = (&shared, &requests, &reference);
+                scope.spawn(move || {
+                    for (i, req) in requests.iter().enumerate() {
+                        let warm = shared.solve(req).unwrap();
+                        assert!(warm.pool_cache_hit, "thread {t}: warm request {i} missed");
+                        assert_eq!(answer(&warm), reference[i], "thread {t}: warm request {i}");
+                    }
+                });
+            }
+        });
         let stats = shared.arena_stats();
         assert_eq!(stats.lookups, stats.hits + stats.misses);
         assert_eq!(stats.entries, 2, "two pool keys ⇒ two arena entries");

@@ -2,7 +2,7 @@
 //! **cold** (sample now), **mem-warm** (arena hit), and **disk-warm**
 //! (restart: fresh service over a populated store directory). Plans and
 //! utilities must be bitwise-identical on all three — the store may only
-//! ever change latency, never answers.
+//! ever change latency, never answers — and only the cold path samples.
 
 use oipa_sampler::testkit::small_random_instance;
 use oipa_service::{EvictionPolicyKind, Method, PlannerService, SolveRequest, StoreConfig};
@@ -23,7 +23,11 @@ fn instance() -> (oipa_graph::DiGraph, oipa_topics::EdgeTopicProbs, Campaign) {
 }
 
 fn request(campaign: &Campaign) -> SolveRequest {
-    let mut req = SolveRequest::new(Method::BabP, 3);
+    request_for(campaign, Method::BabP)
+}
+
+fn request_for(campaign: &Campaign, method: Method) -> SolveRequest {
+    let mut req = SolveRequest::new(method, 3);
     req.campaign = Some(campaign.clone());
     req.theta = Some(6_000);
     req.seed = Some(5);
@@ -32,52 +36,90 @@ fn request(campaign: &Campaign) -> SolveRequest {
     req
 }
 
+/// A service's pool resolutions by outcome (`oipa_pool_requests_total`):
+/// `sampled`, `hit_memory`, `hit_disk`.
+fn outcomes(registry: &oipa_obs::Registry) -> [u64; 3] {
+    ["sampled", "hit_memory", "hit_disk"].map(|outcome| {
+        registry
+            .counter("oipa_pool_requests_total", "", &[("outcome", outcome)])
+            .get()
+    })
+}
+
+/// Both pool-bound methods share one pool key, so one cold stored solve
+/// serves the other method from memory and, after a restart, from disk.
 #[test]
 fn cold_disk_warm_and_mem_warm_answers_are_bitwise_identical() {
     let dir = tmpdir("parity");
     let (graph, table, campaign) = instance();
-    let req = request(&campaign);
-
-    // Cold, no store: the reference answer.
-    let plain = PlannerService::new(graph.clone(), table.clone()).unwrap();
-    let cold = plain.solve(&req).unwrap();
-    assert!(!cold.pool_cache_hit);
-    assert_eq!(cold.pool_tier, None);
-
-    // Cold with a store attached: same answer, and the pool persists.
     let mut writer = PlannerService::new(graph.clone(), table.clone()).unwrap();
     writer.attach_store(StoreConfig::new(&dir)).unwrap();
-    let cold_stored = writer.solve(&req).unwrap();
-    assert!(!cold_stored.pool_cache_hit);
-    assert_eq!(cold_stored.plan, cold.plan);
-    assert_eq!(cold_stored.utility.to_bits(), cold.utility.to_bits());
+    let writer_obs = oipa_obs::Registry::new();
+    writer.attach_obs(&writer_obs);
+    let mut sampled = 0;
+    for method in [Method::BabP, Method::Greedy] {
+        let req = request_for(&campaign, method);
 
-    // Mem-warm: second request on the same session.
-    let mem_warm = writer.solve(&req).unwrap();
-    assert_eq!(mem_warm.pool_tier.as_deref(), Some("memory"));
-    assert_eq!(mem_warm.plan, cold.plan);
-    assert_eq!(mem_warm.utility.to_bits(), cold.utility.to_bits());
+        // Cold, no store: the reference answer.
+        let plain = PlannerService::new(graph.clone(), table.clone()).unwrap();
+        let cold = plain.solve(&req).unwrap();
+        assert!(!cold.pool_cache_hit);
+        assert_eq!(cold.pool_tier, None);
+
+        // Stored session: the first request samples and persists, every
+        // later one (either method) is a memory hit with the cold answer.
+        let first = writer.solve(&req).unwrap();
+        sampled += usize::from(!first.pool_cache_hit);
+        let mem_warm = writer.solve(&req).unwrap();
+        for r in [&first, &mem_warm] {
+            assert_eq!(r.plan, cold.plan, "{method}: stored plan diverged");
+            assert_eq!(r.utility.to_bits(), cold.utility.to_bits(), "{method}");
+        }
+        assert_eq!(mem_warm.pool_tier.as_deref(), Some("memory"));
+    }
+    assert_eq!(sampled, 1, "one cold stored solve serves both methods");
+    assert_eq!(
+        outcomes(&writer_obs),
+        [1, 3, 0],
+        "only the cold path samples"
+    );
     drop(writer);
 
-    // Disk-warm: a fresh session ("restart") over the same directory.
-    let mut restarted = PlannerService::new(graph, table).unwrap();
-    restarted.attach_store(StoreConfig::new(&dir)).unwrap();
-    let disk_warm = restarted.solve(&req).unwrap();
-    assert!(disk_warm.pool_cache_hit, "restart must hit the disk tier");
-    assert_eq!(disk_warm.pool_tier.as_deref(), Some("disk"));
-    assert_eq!(disk_warm.plan, cold.plan, "disk-warm plan diverged");
-    assert_eq!(
-        disk_warm.utility.to_bits(),
-        cold.utility.to_bits(),
-        "disk-warm utility diverged"
-    );
-    // The disk hit promoted the pool: the next request is memory-tier.
-    let promoted = restarted.solve(&req).unwrap();
-    assert_eq!(promoted.pool_tier.as_deref(), Some("memory"));
+    for method in [Method::BabP, Method::Greedy] {
+        let req = request_for(&campaign, method);
+        let cold = PlannerService::new(graph.clone(), table.clone())
+            .unwrap()
+            .solve(&req)
+            .unwrap();
 
-    let stats = restarted.store_stats();
-    let disk = stats.disk.expect("disk tier attached");
-    assert_eq!(disk.hits, 1);
+        // Disk-warm: a fresh session ("restart") over the same directory.
+        let mut restarted = PlannerService::new(graph.clone(), table.clone()).unwrap();
+        restarted.attach_store(StoreConfig::new(&dir)).unwrap();
+        let obs = oipa_obs::Registry::new();
+        restarted.attach_obs(&obs);
+        let disk_warm = restarted.solve(&req).unwrap();
+        assert!(disk_warm.pool_cache_hit, "restart must hit the disk tier");
+        assert_eq!(disk_warm.pool_tier.as_deref(), Some("disk"));
+        assert_eq!(
+            disk_warm.plan, cold.plan,
+            "{method}: disk-warm plan diverged"
+        );
+        assert_eq!(
+            disk_warm.utility.to_bits(),
+            cold.utility.to_bits(),
+            "{method}: disk-warm utility diverged"
+        );
+        // The disk hit promoted the pool: the next request is memory-tier.
+        let promoted = restarted.solve(&req).unwrap();
+        assert_eq!(promoted.pool_tier.as_deref(), Some("memory"));
+        assert_eq!(promoted.plan, cold.plan, "{method}: promoted plan diverged");
+        assert_eq!(promoted.utility.to_bits(), cold.utility.to_bits());
+        assert_eq!(outcomes(&obs), [0, 1, 1], "a disk hit runs no sampling");
+
+        let stats = restarted.store_stats();
+        let disk = stats.disk.expect("disk tier attached");
+        assert_eq!(disk.hits, 1);
+    }
 }
 
 /// Shard count and eviction policy are latency/capacity knobs, never

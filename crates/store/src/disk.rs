@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! store/
-//! ├── index.json            manifest v2: regions + key → (region, offset,
-//! │                         bytes, crc, recency)
+//! ├── index.json            manifest v3: epoch lineage, regions + key →
+//! │                         (region, offset, bytes, crc, recency, epoch)
 //! ├── region-00000001.dat   pool binio v2 payloads, appended back to back
 //! │     ┌─────────┬──────────────┬────────┐
 //! │     │ pool #0 │    pool #1   │ pool#2 │ … ← committed watermark
@@ -63,10 +63,6 @@ use std::path::{Path, PathBuf};
 /// fingerprint became a fingerprint *chain*, and every entry carries the
 /// epoch it was sampled or repaired at).
 const MANIFEST_VERSION: u32 = 3;
-/// The region-packed, single-fingerprint schema (upgraded in place: the
-/// fingerprint becomes a one-entry lineage and every entry loads at
-/// epoch 0).
-const MANIFEST_VERSION_V2: u32 = 2;
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "index.json";
 /// Quarantine subdirectory name.
@@ -103,7 +99,7 @@ pub struct ManifestEntry {
     /// The lineage epoch the pool was sampled (or repaired) at — an
     /// index into the manifest's fingerprint chain. Only entries at the
     /// lineage head's epoch are served; older ones are **stale** (dirty-
-    /// repairable through [`DiskTier::get_any`], never served as-is).
+    /// repairable through [`crate::PoolStore::get_any`], never served as-is).
     pub epoch: u64,
 }
 
@@ -174,61 +170,6 @@ impl Manifest {
     /// (0 while the lineage is unset).
     fn current_epoch(&self) -> u64 {
         self.lineage.len().saturating_sub(1) as u64
-    }
-}
-
-/// The v2 manifest (region-packed, one instance fingerprint), read only
-/// for the in-place upgrade: the fingerprint becomes a one-entry lineage
-/// and every entry loads at epoch 0 — still current, still served.
-#[derive(Debug, Deserialize)]
-struct ManifestV2 {
-    #[allow(dead_code)]
-    version: u32,
-    instance: u64,
-    clock: u64,
-    eviction: String,
-    regions: Vec<RegionRow>,
-    entries: Vec<ManifestEntryV2>,
-}
-
-#[derive(Debug, Deserialize)]
-struct ManifestEntryV2 {
-    key: PoolKey,
-    file: String,
-    offset: u64,
-    bytes: u64,
-    crc: u32,
-    last_used: u64,
-}
-
-impl From<ManifestV2> for Manifest {
-    fn from(v2: ManifestV2) -> Manifest {
-        Manifest {
-            version: MANIFEST_VERSION,
-            lineage: if v2.instance == 0 {
-                Vec::new()
-            } else {
-                vec![v2.instance]
-            },
-            clock: v2.clock,
-            eviction: v2.eviction,
-            purges: 0,
-            last_purge: None,
-            regions: v2.regions,
-            entries: v2
-                .entries
-                .into_iter()
-                .map(|e| ManifestEntry {
-                    key: e.key,
-                    file: e.file,
-                    offset: e.offset,
-                    bytes: e.bytes,
-                    crc: e.crc,
-                    last_used: e.last_used,
-                    epoch: 0,
-                })
-                .collect(),
-        }
     }
 }
 
@@ -454,7 +395,7 @@ impl DiskTier {
     /// whose region vanished or shrank are dropped, files the manifest
     /// does not know are quarantined, stale temp files are removed, and
     /// the byte budget is enforced. A manifest of any other schema than
-    /// v3 or v2 is quarantined like a corrupt one. Corruption never
+    /// v3 is quarantined like a corrupt one. Corruption never
     /// fails the open — it is repaired and reported in
     /// [`DiskTier::open_report`]. Neither do repair-write failures (a
     /// read-only or full disk): the affected entries are dropped from
@@ -492,18 +433,13 @@ impl DiskTier {
                     Some(v) if v == u64::from(MANIFEST_VERSION) => {
                         serde_json::from_str::<Manifest>(&text).map_err(|e| e.to_string())
                     }
-                    Some(v) if v == u64::from(MANIFEST_VERSION_V2) => {
-                        serde_json::from_str::<ManifestV2>(&text)
-                            .map(Manifest::from)
-                            .map_err(|e| e.to_string())
-                    }
                     Some(v) => Err(format!("unsupported manifest version {v}")),
                     None => Err("manifest is not a JSON object with a version".to_string()),
                 };
                 match parsed {
                     Ok(m) => m,
                     Err(reason) => {
-                        // Unreadable, retired (v1) or future-versioned: set
+                        // Unreadable, retired (v1, v2) or future-versioned: set
                         // the manifest aside and start empty; its files
                         // become orphans below. Never serve entries we
                         // cannot trust.
@@ -713,7 +649,7 @@ impl DiskTier {
     }
 
     /// Entries stamped with a non-current epoch: stale, dirty-repairable
-    /// through [`DiskTier::get_any`], never served as-is.
+    /// through [`crate::PoolStore::get_any`], never served as-is.
     pub fn stale_entries(&self) -> usize {
         let current = self.manifest.current_epoch();
         self.manifest
@@ -741,7 +677,7 @@ impl DiskTier {
     /// * **Shared root** (the chains agree on a common prefix) — entries
     ///   at epochs *inside* the prefix are kept: those at the new head's
     ///   epoch serve, older ones become **stale** (dirty-repairable via
-    ///   [`DiskTier::get_any`], never served). Entries past the prefix
+    ///   [`crate::PoolStore::get_any`], never served). Entries past the prefix
     ///   sit on an abandoned branch and are dropped (dead bytes await
     ///   [`DiskTier::gc`]). This is the surgical-invalidation path: a
     ///   graph delta advances the lineage and *marks* cached pools
@@ -855,22 +791,13 @@ impl DiskTier {
     /// by the next structural write (put/eviction) or on drop, so a
     /// read-only burst of N gets performs at most one manifest write
     /// instead of N full `index.json` rewrites.
-    pub fn get(&mut self, key: &PoolKey) -> Option<MrrPool> {
-        self.lookup(key, Lookup::Get).map(|(pool, _)| pool)
-    }
-
-    /// Fetches a pool **at whatever epoch it carries**, with that epoch —
-    /// the disk half of [`crate::PoolStore::get_any`]. The payload is
-    /// CRC-verified exactly like a serving read; a miss counts nothing.
-    pub fn get_any(&mut self, key: &PoolKey) -> Option<(MrrPool, u64)> {
-        self.lookup(key, Lookup::AnyEpoch)
-    }
-
-    /// The three lookup steps back to back on one borrow. `PoolStore`
+    ///
+    /// The three lookup steps run back to back on one borrow; `PoolStore`
     /// runs the same steps but releases the tier lock around the decode.
-    fn lookup(&mut self, key: &PoolKey, lookup: Lookup) -> Option<(MrrPool, u64)> {
-        let (at, decoded) = self.read(key, lookup)?.decode();
-        self.settle(key, at, decoded, lookup)
+    pub fn get(&mut self, key: &PoolKey) -> Option<MrrPool> {
+        let (at, decoded) = self.read(key, Lookup::Get)?.decode();
+        self.settle(key, at, decoded, Lookup::Get)
+            .map(|(pool, _)| pool)
     }
 
     /// Step 1 of a lookup: finds the key's entry and reads its payload

@@ -26,7 +26,7 @@
 use oipa_sampler::testkit::fig1;
 use oipa_sampler::MrrPool;
 use oipa_store::io::{FaultIo, FaultSchedule};
-use oipa_store::{DiskTier, PoolKey, QUARANTINE_DIR};
+use oipa_store::{DiskTier, PoolKey, PoolStore, StoreConfig, QUARANTINE_DIR};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 
@@ -354,7 +354,7 @@ fn repair_write_back_crash_serves_only_committed_epochs() {
         workload(std::sync::Arc::clone(&io), &dir);
         assert!(io.crashed(), "{label}: the crash point must fire");
 
-        let mut tier = DiskTier::open(&dir, 1 << 20)
+        let tier = DiskTier::open(&dir, 1 << 20)
             .unwrap_or_else(|e| panic!("{label}: reopen must never fail: {e}"));
         let verdict = tier.verify();
         assert!(
@@ -372,6 +372,14 @@ fn repair_write_back_crash_serves_only_committed_epochs() {
             .iter()
             .map(|e| (e.key.clone(), e.epoch))
             .collect();
+        drop(tier);
+
+        // Read the recovered entries back the way the service does:
+        // through a store reopened over the same directory.
+        let mut config = StoreConfig::new(&dir);
+        config.disk_bytes = 1 << 20;
+        let store = PoolStore::open(config)
+            .unwrap_or_else(|e| panic!("{label}: store reopen must never fail: {e}"));
         for (entry_key, epoch) in stamped {
             assert_eq!(entry_key, key, "{label}: foreign key recovered");
             assert!(
@@ -381,7 +389,7 @@ fn repair_write_back_crash_serves_only_committed_epochs() {
             // A current-epoch entry serves; a stale ancestor misses on
             // the serving path but stays reachable for repair. Either
             // way the payload must be bitwise the pool of its epoch.
-            let (got, got_epoch) = tier
+            let (got, got_epoch, _) = store
                 .get_any(&entry_key)
                 .unwrap_or_else(|| panic!("{label}: indexed entry must be retrievable"));
             assert_eq!(got_epoch, epoch, "{label}: get_any epoch drifted");
@@ -397,7 +405,7 @@ fn repair_write_back_crash_serves_only_committed_epochs() {
             );
             if epoch as usize + 1 < lineage.len() {
                 assert!(
-                    tier.get(&entry_key).is_none(),
+                    store.get(&entry_key).is_none(),
                     "{label}: a stale ancestor must not serve"
                 );
             }

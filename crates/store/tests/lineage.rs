@@ -6,13 +6,11 @@
 //!   `get_any`, and a same-key re-insert rewrites the payload at the
 //!   new epoch;
 //! * a **non-lineage** fingerprint purges the tier — quarantined, never
-//!   served — and leaves a persisted purge record;
-//! * a **v2** store directory (single instance fingerprint, no epochs)
-//!   still opens and serves, upgraded in place to a one-entry lineage.
+//!   served — and leaves a persisted purge record.
 
 use oipa_sampler::testkit::fig1;
 use oipa_sampler::MrrPool;
-use oipa_store::{DiskTier, PoolKey, PoolStore, PoolTier, StoreConfig, MANIFEST_FILE};
+use oipa_store::{PoolKey, PoolStore, PoolTier, StoreConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -170,63 +168,6 @@ fn root_reload_revives_epoch_zero_and_drops_the_tail() {
     assert_eq!(disk.entries, 1);
     assert_eq!(disk.stale_dropped, 1);
     assert_eq!(disk.purges, 0);
-}
-
-/// Backwards compatibility: a v2 store directory (one instance
-/// fingerprint, no epochs) opens as a one-entry lineage with every pool
-/// at epoch 0 — still served, nothing quarantined.
-#[test]
-fn v2_manifest_opens_and_serves() {
-    let dir = tmpdir("v2-compat");
-    let store = PoolStore::open(StoreConfig::new(&dir)).unwrap();
-    store.set_lineage(&[ROOT]).unwrap();
-    let p = pool(500, 9);
-    store.insert(key(500, 9), Arc::clone(&p));
-    drop(store);
-
-    // Rewrite the manifest in the v2 schema, from the v3 tier's own
-    // rows (same region file, same offsets — only the metadata shape
-    // differs).
-    let (entry, region) = {
-        let tier = DiskTier::open(&dir, u64::MAX).unwrap();
-        (tier.entries()[0].clone(), tier.regions()[0].clone())
-    };
-    let k = key(500, 9);
-    let v2 = format!(
-        concat!(
-            "{{\"version\":2,\"instance\":{},\"clock\":5,\"eviction\":\"lru\",",
-            "\"regions\":[{{\"file\":\"{}\",\"committed\":{},\"last_used\":1}}],",
-            "\"entries\":[{{\"key\":{{\"campaign\":\"{}\",\"theta\":{},\"seed\":{}}},",
-            "\"file\":\"{}\",\"offset\":{},\"bytes\":{},\"crc\":{},\"last_used\":1}}]}}"
-        ),
-        ROOT,
-        region.file,
-        region.committed,
-        k.campaign(),
-        k.theta(),
-        k.seed(),
-        entry.file,
-        entry.offset,
-        entry.bytes,
-        entry.crc,
-    );
-    std::fs::write(dir.join(MANIFEST_FILE), v2).unwrap();
-
-    let reopened = PoolStore::open(StoreConfig::new(&dir)).unwrap();
-    let report = reopened.disk().unwrap().open_report();
-    assert!(!report.corrupt_manifest, "v2 is upgraded, not quarantined");
-    assert_eq!(report.quarantined, 0);
-    assert_eq!(reopened.lineage(), vec![ROOT]);
-    assert_eq!(reopened.current_epoch(), 0);
-    let (back, tier) = reopened.get(&k).expect("v2 pool still serves");
-    assert_eq!(tier, PoolTier::Disk);
-    assert_eq!(back.fingerprint(), p.fingerprint());
-    let disk = reopened.disk().unwrap();
-    assert_eq!(disk.entries()[0].epoch, 0);
-    drop(disk);
-
-    // And the same instance fingerprint keeps matching post-upgrade.
-    assert!(!reopened.set_lineage(&[ROOT]).unwrap());
 }
 
 /// Memory-only stores honor the same lineage discipline: stale on

@@ -72,6 +72,14 @@ fn cold_mem_and_disk_paths_serve_identical_pools() {
     // The disk hit promoted the pool: next lookup is memory-tier.
     let (_, tier) = reopened.get(&k).unwrap();
     assert_eq!(tier, PoolTier::Memory);
+    drop(reopened);
+
+    // Reads and promotions rewrite nothing: the one pool still packs into
+    // one region whose fill (live over committed bytes) is in (0, 1].
+    let stats = DiskTier::open(&dir, u64::MAX).unwrap().stats();
+    assert_eq!((stats.entries, stats.regions), (1, 1));
+    let fill = stats.bytes as f64 / (stats.bytes + stats.dead_bytes) as f64;
+    assert!(fill > 0.0 && fill <= 1.0, "region fill {fill}");
 }
 
 #[test]
@@ -229,41 +237,84 @@ fn downgraded_version_field_is_corruption_not_an_unchecked_pool() {
     assert!(dir.join(QUARANTINE_DIR).join(&file).exists());
 }
 
-/// A v1 (file-per-key) directory is not migrated: its manifest takes the
-/// unsupported-version path and its segments are quarantined as orphans.
-/// The store is a cache, so the key misses and resamples to the same
-/// pool.
-#[test]
-fn v1_directory_is_quarantined_and_its_keys_resample() {
-    let dir = tmpdir("v1-dir");
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = pool(300, 3);
-    let k = key(300, 3);
+/// Writes a v1 (file-per-key) directory holding `p` under `k`; returns
+/// its data file.
+fn write_v1_dir(dir: &PathBuf, p: &MrrPool, k: &PoolKey) -> String {
+    std::fs::create_dir_all(dir).unwrap();
     let mut buf = Vec::new();
-    oipa_sampler::binio::write_pool(&p, &mut buf).unwrap();
+    oipa_sampler::binio::write_pool(p, &mut buf).unwrap();
     let segment = "pool-0000000000000001.mrr";
     std::fs::write(dir.join(segment), &buf).unwrap();
     let manifest = format!(
         r#"{{"version":1,"instance":0,"clock":1,"entries":[{{"key":{},"file":"{segment}","bytes":{},"crc":0,"last_used":1}}]}}"#,
-        serde_json::to_string(&k).unwrap(),
+        serde_json::to_string(k).unwrap(),
         buf.len(),
     );
     std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+    segment.to_string()
+}
 
-    let store = PoolStore::open(config(&dir)).unwrap();
-    let report = store.disk().unwrap().open_report();
-    assert!(report.corrupt_manifest);
-    assert_eq!(report.quarantined, 1, "the segment is an orphan");
-    assert!(dir.join(QUARANTINE_DIR).join(MANIFEST_FILE).exists());
-    assert!(dir.join(QUARANTINE_DIR).join(segment).exists());
-    assert!(store.get(&k).is_none());
-    let (back, _) = store
-        .fetch(&k, |ancestor| -> Result<_, ()> {
-            assert!(ancestor.is_none(), "nothing of the v1 pool survives");
-            Ok((pool(300, 3), ()))
-        })
-        .unwrap();
-    assert_same_pool(&back, &p, "resampled");
+/// Writes a v2 (region-packed, one instance fingerprint, no epochs)
+/// directory holding `p` under `k`: the current tier's own region file
+/// under a manifest rewritten in the v2 schema. Returns the region file.
+fn write_v2_dir(dir: &PathBuf, p: &Arc<MrrPool>, k: &PoolKey) -> String {
+    let store = PoolStore::open(config(dir)).unwrap();
+    store.insert(k.clone(), Arc::clone(p));
+    drop(store);
+    let tier = DiskTier::open(dir, u64::MAX).unwrap();
+    let (entry, region) = (tier.entries()[0].clone(), tier.regions()[0].clone());
+    drop(tier);
+    let manifest = format!(
+        r#"{{"version":2,"instance":7,"clock":5,"eviction":"lru","regions":[{{"file":"{}","committed":{},"last_used":1}}],"entries":[{{"key":{},"file":"{}","offset":{},"bytes":{},"crc":{},"last_used":1}}]}}"#,
+        region.file,
+        region.committed,
+        serde_json::to_string(k).unwrap(),
+        entry.file,
+        entry.offset,
+        entry.bytes,
+        entry.crc,
+    );
+    std::fs::write(dir.join(MANIFEST_FILE), manifest).unwrap();
+    region.file
+}
+
+/// A directory in a retired format — v1 (file-per-key) or v2 (regions
+/// under one instance fingerprint, no epochs) — is not migrated: its
+/// manifest takes the unsupported-version path and its data file is
+/// quarantined as an orphan. The store is a cache, so the key misses and
+/// resamples to the same pool.
+#[test]
+fn v1_directory_is_quarantined_and_its_keys_resample() {
+    let p = pool(300, 3);
+    let k = key(300, 3);
+    for version in [1, 2] {
+        let dir = tmpdir(&format!("v{version}-dir"));
+        let data_file = match version {
+            1 => write_v1_dir(&dir, &p, &k),
+            _ => write_v2_dir(&dir, &p, &k),
+        };
+
+        let store = PoolStore::open(config(&dir)).unwrap();
+        let report = store.disk().unwrap().open_report();
+        assert!(report.corrupt_manifest, "v{version}");
+        assert_eq!(
+            report.quarantined, 1,
+            "v{version}: the data file is an orphan"
+        );
+        assert!(dir.join(QUARANTINE_DIR).join(MANIFEST_FILE).exists());
+        assert!(dir.join(QUARANTINE_DIR).join(&data_file).exists());
+        assert!(store.get(&k).is_none(), "v{version}: nothing is served");
+        let (back, _) = store
+            .fetch(&k, |ancestor| -> Result<_, ()> {
+                assert!(
+                    ancestor.is_none(),
+                    "v{version}: nothing of the old pool survives"
+                );
+                Ok((pool(300, 3), ()))
+            })
+            .unwrap();
+        assert_same_pool(&back, &p, &format!("v{version} resampled"));
+    }
 }
 
 #[test]

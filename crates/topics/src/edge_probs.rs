@@ -115,29 +115,6 @@ impl EdgeTopicProbs {
         }
     }
 
-    /// Gathers rows for a subgraph extraction: `new_table.row(i)` equals
-    /// `self.row(old_edge_ids[i])`. Pairs with
-    /// `oipa_graph::subgraph::Extraction::old_edge_of_new` so probability
-    /// tables follow component/k-core extractions.
-    pub fn gather(&self, old_edge_ids: &[EdgeId]) -> EdgeTopicProbs {
-        let mut offsets = Vec::with_capacity(old_edge_ids.len() + 1);
-        offsets.push(0u32);
-        let mut topics = Vec::new();
-        let mut probs = Vec::new();
-        for &old in old_edge_ids {
-            let (t, p) = self.row(old);
-            topics.extend_from_slice(t);
-            probs.extend_from_slice(p);
-            offsets.push(topics.len() as u32);
-        }
-        EdgeTopicProbs {
-            topic_count: self.topic_count,
-            offsets,
-            topics,
-            probs,
-        }
-    }
-
     /// Rebuilds the table for a delta-applied graph.
     ///
     /// Surviving edges keep their rows, re-indexed through
@@ -519,21 +496,6 @@ mod tests {
         // Only topic 0 is shared: p = base * 1.0 * 0.5 / in_deg(1)=1.
         assert_eq!(t.row(0).0, &[0u16]);
         assert!((t.row(0).1[0] - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gather_reorders_rows() {
-        let mut b = EdgeProbsBuilder::new(3, 4);
-        b.set(0, SparseTopicVector::new(vec![(0, 0.1)], 4).unwrap())
-            .unwrap();
-        b.set(2, SparseTopicVector::new(vec![(3, 0.9)], 4).unwrap())
-            .unwrap();
-        let t = b.build();
-        let g = t.gather(&[2, 0]);
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.row(0), t.row(2));
-        assert_eq!(g.row(1), t.row(0));
-        assert_eq!(g.topic_count(), 4);
     }
 
     #[test]
