@@ -10,7 +10,10 @@
 //!   a full run, also require `tau_evaluations`, `nodes_expanded` and
 //!   `bounds_computed` to equal the checked-in `BENCH_solver.json` row by
 //!   row. Exits non-zero on any violation.
-//! * `--out`   — output path (default `BENCH_solver.json`)
+//! * `--out`   — output path (default `BENCH_solver.json` in the working
+//!   directory; with `--check`, `BENCH_solver.json` beside the executable,
+//!   so a check from the repository root leaves the checked-in file as it
+//!   is)
 
 use oipa_bench::solver_suite::{
     compare_counts, run_solver_suite, summary_text, validate_report, SolverSuiteConfig,
@@ -24,7 +27,7 @@ fn main() {
     let mut smoke = false;
     let mut check = false;
     let mut seed = 0u64;
-    let mut out = String::from("BENCH_solver.json");
+    let mut out = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,12 +40,13 @@ fn main() {
                     .unwrap_or_else(|| die("--seed needs an integer"));
             }
             "--out" => {
-                out = args.next().unwrap_or_else(|| die("--out needs a path"));
+                out = Some(args.next().unwrap_or_else(|| die("--out needs a path")));
             }
             other => die(&format!("unknown flag {other:?}")),
         }
     }
 
+    let out = out.unwrap_or_else(|| default_out(check));
     // Read the baseline before anything is written: `--out` may name it.
     let baseline = (check && !smoke).then(|| read_report(BASELINE));
 
@@ -71,6 +75,20 @@ fn main() {
             println!("check passed: invariants hold");
         }
     }
+}
+
+/// Where the report goes without `--out`: the working directory, or
+/// for `--check` the executable's directory (under the build's target
+/// directory).
+fn default_out(check: bool) -> String {
+    if !check {
+        return String::from("BENCH_solver.json");
+    }
+    let exe =
+        std::env::current_exe().unwrap_or_else(|e| die(&format!("locating the executable: {e}")));
+    exe.with_file_name("BENCH_solver.json")
+        .to_string_lossy()
+        .into_owned()
 }
 
 fn read_report(path: &str) -> SolverSuiteReport {

@@ -15,7 +15,7 @@ use oipa_graph::{binio as graph_io, DiGraph};
 use oipa_sampler::{binio as pool_io, MrrPool};
 use oipa_service::{Method, PlannerService, SimulateRequest, SolveRequest, SolveResponse};
 use oipa_store::io::{parse_fault_schedule, FaultIo};
-use oipa_store::{DiskTier, EvictionPolicyKind, OpenReport, StoreConfig, QUARANTINE_DIR};
+use oipa_store::{DiskTier, OpenReport, StoreConfig, QUARANTINE_DIR};
 use oipa_topics::{binio as probs_io, Campaign, EdgeTopicProbs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,12 +126,11 @@ fn cmd_store(args: &ParsedArgs) -> Result<String, OipaError> {
                 .join(" -> ");
             write!(
                 out,
-                "{} segments, {} bytes in {} region(s) ({fill:.0}% live), \
-                 eviction {}\nlineage {} (epoch {:04x}, {} stale)",
+                "{} segments, {} bytes in {} region(s) ({fill:.0}% live)\n\
+                 lineage {} (epoch {:04x}, {} stale)",
                 tier.len(),
                 tier.bytes(),
                 stats.regions,
-                tier.eviction_label(),
                 if lineage.is_empty() {
                     "(unset)".to_string()
                 } else {
@@ -530,15 +529,6 @@ fn request_from_flags(args: &ParsedArgs, method: Method) -> Result<SolveRequest,
 fn attach_store_flag(service: &mut PlannerService, args: &ParsedArgs) -> Result<(), OipaError> {
     if let Some(dir) = args.optional("store-dir") {
         let mut config = StoreConfig::new(dir);
-        config.shards = args.parsed("shards")?;
-        if let Some(name) = args.optional("eviction") {
-            config.eviction =
-                Some(
-                    EvictionPolicyKind::parse(name).map_err(|e| OipaError::InvalidConfig {
-                        what: format!("--eviction {name:?}: {e}"),
-                    })?,
-                );
-        }
         if let Some(region_bytes) = args.parsed::<u64>("region-bytes")? {
             config.region_bytes = region_bytes;
         }
@@ -1214,10 +1204,6 @@ mod tests {
                 "5",
                 "--store-dir",
                 store,
-                "--shards",
-                "4",
-                "--eviction",
-                "lfu",
             ])
             .unwrap()
         };
@@ -1238,7 +1224,7 @@ mod tests {
         let ls = run_words(&["store", "ls", "--dir", &dir]).unwrap();
         assert!(ls.contains("1 segments"), "{ls}");
         assert!(ls.contains("1 region(s)"), "{ls}");
-        assert!(ls.contains("eviction lfu"), "{ls}");
+        assert!(ls.contains("(100% live)"), "{ls}");
         // Fingerprints and epochs render as zero-padded hex, the pool is
         // live at the lineage head, and no purge has ever happened.
         assert!(ls.contains("live"), "{ls}");

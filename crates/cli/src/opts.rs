@@ -22,14 +22,12 @@ commands:
             [--method bab|bab-p|plain|greedy|brute|im|tim]
             [--k N] [--ratio F] [--eps F] [--gap F] [--promoter-fraction F]
             [--max-nodes N] [--seed N] [--theta N] [--out-plan FILE]
-            [--store-dir DIR] [--shards N] [--eviction lru|lfu]
-            [--region-bytes N] [--fault-schedule SPEC]
+            [--store-dir DIR] [--region-bytes N] [--fault-schedule SPEC]
   simulate  --graph FILE --probs FILE --campaign FILE --plan FILE
             [--ratio F] [--runs N] [--seed N]
   batch     --requests FILE (--graph FILE --probs FILE | --pool FILE)
-            [--out FILE] [--check true] [--store-dir DIR] [--shards N]
-            [--eviction lru|lfu] [--region-bytes N] [--threads N]
-            [--fault-schedule SPEC]
+            [--out FILE] [--check true] [--store-dir DIR] [--region-bytes N]
+            [--threads N] [--fault-schedule SPEC]
   store     ls|verify|gc --dir DIR
   obs       dump --addr HOST:PORT
 
@@ -103,8 +101,6 @@ const COMMANDS: &[CommandSpec] = &[
             "theta",
             "ell",
             "store-dir",
-            "shards",
-            "eviction",
             "region-bytes",
             "fault-schedule",
         ],
@@ -127,8 +123,6 @@ const COMMANDS: &[CommandSpec] = &[
             "out",
             "check",
             "store-dir",
-            "shards",
-            "eviction",
             "region-bytes",
             "threads",
             "fault-schedule",

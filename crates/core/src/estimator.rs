@@ -69,12 +69,6 @@ impl<'a> AuEstimator<'a> {
         self.seen_epoch
     }
 
-    /// Adoption probability at a given coverage count.
-    #[inline]
-    pub fn sigma_at(&self, coverage: usize) -> f64 {
-        self.sigma_by_coverage[coverage]
-    }
-
     /// Estimates σ(S̄) in user units.
     ///
     /// Coverage per (sample, piece) is binary: a piece covered by several
@@ -128,34 +122,6 @@ impl<'a> AuEstimator<'a> {
             total += self.sigma_by_coverage[self.coverage[i as usize] as usize];
         }
         total * self.pool.scale()
-    }
-
-    /// Estimates σ(S̄) together with a normal-approximation confidence
-    /// half-width at `z` standard errors (z = 1.96 ⇒ 95%).
-    ///
-    /// The estimator is a mean of θ i.i.d. variables `X_i ∈ [0, 1]`
-    /// (Lemma 2), so `σ̂ ± z·n·s/√θ` with `s` the sample standard
-    /// deviation is the standard interval. Useful for choosing θ and for
-    /// honest error bars in reports.
-    pub fn evaluate_with_ci(&mut self, plan: &AssignmentPlan, z: f64) -> (f64, f64) {
-        assert!(z > 0.0);
-        let utility = self.evaluate(plan);
-        let theta = self.pool.theta();
-        if theta < 2 {
-            return (utility, f64::INFINITY);
-        }
-        // Per-sample values are 0 except for touched samples.
-        let mut sum = 0.0f64;
-        let mut sumsq = 0.0f64;
-        for &i in &self.touched {
-            let x = self.sigma_by_coverage[self.coverage[i as usize] as usize];
-            sum += x;
-            sumsq += x * x;
-        }
-        let mean = sum / theta as f64;
-        let var = (sumsq / theta as f64 - mean * mean).max(0.0);
-        let half = z * (var / theta as f64).sqrt() * self.pool.node_count() as f64;
-        (utility, half)
     }
 }
 
@@ -263,40 +229,6 @@ mod tests {
             rel < 0.08,
             "estimator {est_sigma} vs simulation {truth} (rel err {rel})"
         );
-    }
-
-    #[test]
-    fn confidence_interval_shrinks_with_theta_and_covers_truth() {
-        let (g, table, campaign) = fig1();
-        let model = LogisticAdoption::example();
-        let plan = AssignmentPlan::from_sets(vec![vec![0], vec![4]]);
-        let truth = 2.0 * model.adoption_prob(1) + 3.0 * model.adoption_prob(2);
-        let mut widths = Vec::new();
-        for &theta in &[2_000usize, 32_000] {
-            let pool = MrrPool::generate(&g, &table, &campaign, theta, 77);
-            let mut est = AuEstimator::new(&pool, model);
-            let (mean, half) = est.evaluate_with_ci(&plan, 1.96);
-            assert!(half.is_finite() && half > 0.0);
-            assert!(
-                (mean - truth).abs() <= 3.0 * half + 1e-9,
-                "θ={theta}: truth {truth} outside {mean} ± {half} (3z)"
-            );
-            widths.push(half);
-        }
-        assert!(
-            widths[1] < widths[0] / 2.0,
-            "CI must shrink ~4x for 16x θ: {widths:?}"
-        );
-    }
-
-    #[test]
-    fn degenerate_pool_ci_is_infinite() {
-        let (g, table, campaign) = fig1();
-        let pool = MrrPool::generate(&g, &table, &campaign, 1, 1);
-        let mut est = AuEstimator::new(&pool, LogisticAdoption::example());
-        let (_, half) =
-            est.evaluate_with_ci(&AssignmentPlan::from_sets(vec![vec![0], vec![]]), 2.0);
-        assert!(half.is_infinite());
     }
 
     #[test]

@@ -135,7 +135,6 @@ pub fn tangent_at_anchor(x0: f64) -> TangentLine {
 #[derive(Debug, Clone)]
 pub struct TangentTable {
     ell: usize,
-    lines: Vec<TangentLine>,
     /// Flattened `(ℓ+1) × (ℓ+2)` value table.
     values: Vec<f64>,
     /// Flattened `(ℓ+1) × (ℓ+1)` marginal table.
@@ -196,20 +195,6 @@ impl TangentTable {
 
     fn build(model: LogisticAdoption, ell: usize, refine_anchors: bool) -> Self {
         assert!(ell >= 1);
-        let tol = 1e-12;
-        let mut lines = Vec::with_capacity(ell + 1);
-        for c0 in 0..=ell {
-            let x0 = if refine_anchors {
-                model.logit(c0)
-            } else {
-                model.logit(0)
-            };
-            lines.push(if x0 >= 0.0 {
-                tangent_at_anchor(x0)
-            } else {
-                refine(x0, tol)
-            });
-        }
         // True objective values per coverage (Eqn. 1, incl. the zero branch).
         let objective: Vec<f64> = (0..=ell).map(|c| model.adoption_prob(c)).collect();
         let mut values = vec![0.0; (ell + 1) * (ell + 2)];
@@ -236,7 +221,6 @@ impl TangentTable {
         }
         TangentTable {
             ell,
-            lines,
             values,
             marginals,
         }
@@ -246,12 +230,6 @@ impl TangentTable {
     #[inline]
     pub fn ell(&self) -> usize {
         self.ell
-    }
-
-    /// The majorant line anchored at coverage `c0`.
-    #[inline]
-    pub fn line(&self, c0: usize) -> &TangentLine {
-        &self.lines[c0]
     }
 
     /// τ value for a sample with anchor `c0` at current coverage `c`.
@@ -428,9 +406,10 @@ mod tests {
         // the new line has a larger gradient — while the anchor stays in
         // the convex region.
         let model = LogisticAdoption::new(4.0, 1.0);
-        let table = TangentTable::new(model, 3);
-        assert!(table.line(1).w > table.line(0).w);
-        assert!(table.line(2).w > table.line(1).w);
+        assert!(model.logit(2) < 0.0, "anchors 0..=2 are convex");
+        let w = |c0: usize| refine(model.logit(c0), 1e-12).w;
+        assert!(w(1) > w(0));
+        assert!(w(2) > w(1));
     }
 
     #[test]

@@ -28,9 +28,9 @@ pub enum DedupPolicy {
 /// let mut b = GraphBuilder::with_policy(DedupPolicy::Simple);
 /// b.add_edge(0, 1);
 /// b.add_edge(0, 1); // duplicate: dropped
-/// b.add_undirected(1, 2);
+/// b.add_edge(1, 2);
 /// let g = b.build().unwrap();
-/// assert_eq!(g.edge_count(), 3);
+/// assert_eq!(g.edge_count(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
@@ -89,14 +89,6 @@ impl GraphBuilder {
         self.n = self.n.max(u.max(v).saturating_add(1));
         self.edges.push((u, v));
         true
-    }
-
-    /// Adds both `(u, v)` and `(v, u)` — the paper's "bidirectional friend"
-    /// relationship.
-    pub fn add_undirected(&mut self, u: NodeId, v: NodeId) -> bool {
-        let a = self.add_edge(u, v);
-        let b = self.add_edge(v, u);
-        a || b
     }
 
     /// Number of edges currently kept.
@@ -159,15 +151,6 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(0, 1);
         assert_eq!(b.build().unwrap().edge_count(), 3);
-    }
-
-    #[test]
-    fn undirected_adds_both() {
-        let mut b = GraphBuilder::new();
-        b.add_undirected(0, 1);
-        let g = b.build().unwrap();
-        assert!(g.find_edge(0, 1).is_some());
-        assert!(g.find_edge(1, 0).is_some());
     }
 
     #[test]

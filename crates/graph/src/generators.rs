@@ -158,36 +158,6 @@ pub fn erdos_renyi_gnm<R: Rng + ?Sized>(rng: &mut R, n: u32, m: usize) -> DiGrap
     builder.build().expect("generator produces valid edges")
 }
 
-/// Watts–Strogatz small-world digraph.
-///
-/// A directed ring lattice where each node points to its `k` clockwise
-/// neighbors, with each edge's target rewired uniformly with probability
-/// `beta`. Used in tests as a low-variance, non-power-law contrast model.
-pub fn watts_strogatz<R: Rng + ?Sized>(rng: &mut R, n: u32, k: usize, beta: f64) -> DiGraph {
-    assert!(n as usize > k + 1, "ring needs n > k + 1");
-    assert!((0.0..=1.0).contains(&beta));
-    let mut builder = GraphBuilder::with_capacity(DedupPolicy::Simple, n as usize * k);
-    builder.ensure_nodes(n);
-    let pick = Uniform::new(0, n);
-    for u in 0..n {
-        for hop in 1..=k {
-            let mut v = (u + hop as u32) % n;
-            if rng.gen_bool(beta) {
-                // Rewire; retry a few times on collision.
-                for _ in 0..16 {
-                    let cand = pick.sample(rng);
-                    if cand != u {
-                        v = cand;
-                        break;
-                    }
-                }
-            }
-            builder.add_edge(u, v);
-        }
-    }
-    builder.build().expect("generator produces valid edges")
-}
-
 /// Complete digraph on `n` nodes (every ordered pair, no loops). Used by the
 /// Max-Clique hardness gadget tests.
 pub fn complete<Rr>(n: u32) -> DiGraph
@@ -269,23 +239,6 @@ mod tests {
         for e in g.edges() {
             assert_ne!(e.source, e.target);
         }
-    }
-
-    #[test]
-    fn watts_strogatz_degree() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = watts_strogatz(&mut rng, 200, 4, 0.1);
-        // Rewiring can collide with existing edges, so allow small losses.
-        assert!(g.edge_count() >= 200 * 4 - 40);
-        assert!(g.edge_count() <= 200 * 4);
-    }
-
-    #[test]
-    fn watts_strogatz_zero_beta_is_ring() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = watts_strogatz(&mut rng, 10, 2, 0.0);
-        assert_eq!(g.out_neighbors(0), &[1, 2]);
-        assert_eq!(g.out_neighbors(9), &[0, 1]);
     }
 
     #[test]

@@ -66,11 +66,6 @@ pub fn write_edge_list<W: Write>(graph: &DiGraph, writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Writes the graph to a file path.
-pub fn write_edge_list_file<P: AsRef<Path>>(graph: &DiGraph, path: P) -> Result<()> {
-    write_edge_list(graph, std::fs::File::create(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,11 +14,11 @@
 //! * [`GraphBuilder`] — incremental construction with deduplication options.
 //! * [`io`] — plain-text edge-list readers/writers.
 //! * [`generators`] — synthetic network models (Barabási–Albert,
-//!   power-law configuration model, Erdős–Rényi, Watts–Strogatz) used to
+//!   power-law configuration model, Erdős–Rényi) used to
 //!   stand in for the paper's proprietary `lastfm`/`dblp`/`tweet` datasets.
 //! * [`stats`] — degree statistics and a power-law exponent estimator
 //!   (the paper's §V-C complexity argument rests on the power-law principle).
-//! * [`traverse`] — BFS, reachability and weakly-connected components.
+//! * [`traverse`] — BFS scratch space and reachability.
 //! * [`hashing`] — a small FxHash-style hasher for integer-keyed maps, so we
 //!   do not pull in an external hashing crate.
 //! * [`checksum`] — streaming CRC-32 shared by every checksummed binary

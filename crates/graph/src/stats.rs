@@ -106,11 +106,6 @@ pub fn power_law_exponent_mle(
     }
 }
 
-/// Estimated power-law exponent of a graph's in-degree distribution.
-pub fn in_degree_exponent(graph: &DiGraph, d_min: usize) -> Option<f64> {
-    power_law_exponent_mle(graph.nodes().map(|v| graph.in_degree(v)), d_min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +155,8 @@ mod tests {
     fn ba_graph_in_power_law_band() {
         let mut rng = StdRng::seed_from_u64(17);
         let g = generators::barabasi_albert(&mut rng, 3000, 4);
-        let alpha = in_degree_exponent(&g, 5).expect("enough hubs");
+        let in_degrees = g.nodes().map(|v| g.in_degree(v));
+        let alpha = power_law_exponent_mle(in_degrees, 5).expect("enough hubs");
         // BA is asymptotically exponent 3; finite-size estimates drift.
         assert!(
             (2.0..=4.0).contains(&alpha),

@@ -1,9 +1,8 @@
-//! Traversals: BFS reachability, forward/backward closure, weakly-connected
-//! components.
+//! Traversals: BFS scratch space and forward/backward closure.
 //!
 //! [`BfsScratch`] is the visited set of every RR-set walk in the sampler;
-//! the reachability and component functions check the structure of
-//! generated networks.
+//! the closure functions are the reachability oracle its tests check RR
+//! sets against.
 
 use crate::csr::{DiGraph, NodeId};
 
@@ -104,44 +103,6 @@ fn bfs(graph: &DiGraph, start: NodeId, dir: Direction) -> Vec<NodeId> {
     order
 }
 
-/// Weakly-connected component labelling.
-///
-/// Returns `(labels, component_count)` where `labels[v]` is a dense id in
-/// `0..component_count`.
-pub fn weakly_connected_components(graph: &DiGraph) -> (Vec<u32>, usize) {
-    let n = graph.node_count();
-    let mut labels = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = std::collections::VecDeque::new();
-    for s in 0..n as NodeId {
-        if labels[s as usize] != u32::MAX {
-            continue;
-        }
-        labels[s as usize] = next;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for &v in graph.out_neighbors(u).iter().chain(graph.in_neighbors(u)) {
-                if labels[v as usize] == u32::MAX {
-                    labels[v as usize] = next;
-                    queue.push_back(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    (labels, next as usize)
-}
-
-/// Size of the largest weakly-connected component.
-pub fn largest_wcc_size(graph: &DiGraph) -> usize {
-    let (labels, count) = weakly_connected_components(graph);
-    let mut sizes = vec![0usize; count];
-    for l in labels {
-        sizes[l as usize] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,18 +123,6 @@ mod tests {
         let g = chain();
         assert_eq!(backward_reachable(&g, 2), vec![2, 1, 0]);
         assert_eq!(backward_reachable(&g, 0), vec![0]);
-    }
-
-    #[test]
-    fn components() {
-        let g = DiGraph::from_edges(5, &[(0, 1), (2, 3)]).unwrap();
-        let (labels, count) = weakly_connected_components(&g);
-        assert_eq!(count, 3);
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_ne!(labels[0], labels[2]);
-        assert_ne!(labels[4], labels[0]);
-        assert_eq!(largest_wcc_size(&g), 2);
     }
 
     #[test]

@@ -69,18 +69,6 @@ proptest! {
         prop_assert_eq!(fwd.contains(&v), bwd.contains(&u));
     }
 
-    /// Component labels partition the nodes and are edge-consistent.
-    #[test]
-    fn component_partition((n, edges) in edges_strategy(30, 60)) {
-        let g = DiGraph::from_edges(n, &edges).unwrap();
-        let (labels, count) = traverse::weakly_connected_components(&g);
-        prop_assert_eq!(labels.len(), n as usize);
-        prop_assert!(labels.iter().all(|&l| (l as usize) < count));
-        for e in g.edges() {
-            prop_assert_eq!(labels[e.source as usize], labels[e.target as usize]);
-        }
-    }
-
     /// Graph statistics are internally consistent.
     #[test]
     fn stats_consistency((n, edges) in edges_strategy(30, 80)) {

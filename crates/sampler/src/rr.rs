@@ -64,15 +64,6 @@ impl RrStore {
             + self.idx_samples.len() * std::mem::size_of::<u32>()
     }
 
-    /// Average RR-set size.
-    pub fn avg_set_size(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.total_nodes() as f64 / self.len() as f64
-        }
-    }
-
     pub(crate) fn build_index(&mut self, n: usize) {
         let counts = node_counts(&self.nodes, n).expect("every node id is below n");
         self.index_from_counts(counts);

@@ -67,9 +67,8 @@ mod solver;
 
 pub use oipa_graph::{EdgeChange, GraphDelta, Lineage, TopicProb};
 pub use oipa_store::{
-    ArenaStats, DiskStats, EvictionPolicyKind, PoolArena, PoolKey, PoolStore, PoolTier,
-    PurgeRecord, StatsSnapshot, StoreConfig, StoreStats, TierHealthSnapshot, DEFAULT_SHARDS,
-    STATS_SCHEMA,
+    ArenaStats, DiskStats, PoolArena, PoolKey, PoolStore, PoolTier, PurgeRecord, StatsSnapshot,
+    StoreConfig, StoreStats, TierHealthSnapshot, STATS_SCHEMA,
 };
 pub use request::{
     AutoThetaReport, AutoThetaRequest, DeltaReport, Method, PoolRepair, SearchStats,

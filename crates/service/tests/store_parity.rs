@@ -5,7 +5,7 @@
 //! ever change latency, never answers — and only the cold path samples.
 
 use oipa_sampler::testkit::small_random_instance;
-use oipa_service::{EvictionPolicyKind, Method, PlannerService, SolveRequest, StoreConfig};
+use oipa_service::{Method, PlannerService, SolveRequest, StoreConfig};
 use oipa_topics::Campaign;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,12 +122,11 @@ fn cold_disk_warm_and_mem_warm_answers_are_bitwise_identical() {
     }
 }
 
-/// Shard count and eviction policy are latency/capacity knobs, never
-/// answer knobs: the same request solved through 1-, 4-, and 16-shard
-/// stores (and under LFU) returns bitwise-identical plans and utilities
-/// on both the cold and warm paths.
+/// A stored session answers like a store-less one: the same request
+/// solved cold and then warm through a store directory returns plans and
+/// utilities bitwise-identical to a service with no store attached.
 #[test]
-fn answers_are_bitwise_identical_at_any_shard_count() {
+fn stored_answers_match_a_storeless_service_bitwise() {
     let (graph, table, campaign) = instance();
     let req = request(&campaign);
 
@@ -136,39 +135,27 @@ fn answers_are_bitwise_identical_at_any_shard_count() {
         .solve(&req)
         .unwrap();
 
-    for (shards, eviction) in [
-        (1, EvictionPolicyKind::Lru),
-        (4, EvictionPolicyKind::Lru),
-        (16, EvictionPolicyKind::Lfu),
-    ] {
-        let dir = tmpdir(&format!("shard-parity-{shards}"));
-        let mut config = StoreConfig::new(&dir);
-        config.shards = Some(shards);
-        config.eviction = Some(eviction);
-        let mut service = PlannerService::new(graph.clone(), table.clone()).unwrap();
-        service.attach_store(config).unwrap();
+    let dir = tmpdir("storeless-parity");
+    let mut service = PlannerService::new(graph, table).unwrap();
+    service.attach_store(StoreConfig::new(&dir)).unwrap();
 
-        let cold = service.solve(&req).unwrap();
-        assert!(!cold.pool_cache_hit);
-        assert_eq!(cold.plan, reference.plan, "{shards}-shard cold plan");
-        assert_eq!(
-            cold.utility.to_bits(),
-            reference.utility.to_bits(),
-            "{shards}-shard cold utility diverged"
-        );
+    let cold = service.solve(&req).unwrap();
+    assert!(!cold.pool_cache_hit);
+    assert_eq!(cold.plan, reference.plan, "cold plan");
+    assert_eq!(
+        cold.utility.to_bits(),
+        reference.utility.to_bits(),
+        "cold utility diverged"
+    );
 
-        let warm = service.solve(&req).unwrap();
-        assert_eq!(warm.pool_tier.as_deref(), Some("memory"));
-        assert_eq!(warm.plan, reference.plan, "{shards}-shard warm plan");
-        assert_eq!(
-            warm.utility.to_bits(),
-            reference.utility.to_bits(),
-            "{shards}-shard warm utility diverged"
-        );
-
-        let stats = service.store_stats();
-        assert_eq!(stats.mem_shards.len(), shards, "stats must expose stripes");
-    }
+    let warm = service.solve(&req).unwrap();
+    assert_eq!(warm.pool_tier.as_deref(), Some("memory"));
+    assert_eq!(warm.plan, reference.plan, "warm plan");
+    assert_eq!(
+        warm.utility.to_bits(),
+        reference.utility.to_bits(),
+        "warm utility diverged"
+    );
 }
 
 /// A store directory is bound to the (graph, table) it was filled from:

@@ -18,7 +18,6 @@
 //! incrementally on insert/evict, so budget checks are O(1) instead of a
 //! fold over every entry.
 
-use crate::eviction::{EvictionMeta, EvictionPolicy, EvictionPolicyKind};
 use oipa_sampler::MrrPool;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,9 +86,6 @@ struct ArenaEntry {
     /// Atomic so a shared-reference `get` can refresh recency while other
     /// readers scan concurrently.
     last_used: AtomicU64,
-    /// Hit count (insert counts once), atomic for the same reason. Feeds
-    /// frequency-aware eviction policies (LFU).
-    uses: AtomicU64,
     /// Pinned entries (injected pools) are never evicted by byte
     /// pressure — only `clear`/`evict_unpinned` removes them. They are
     /// also epoch-exempt: an injected pool is not tied to the instance
@@ -101,18 +97,6 @@ struct ArenaEntry {
     /// caller can fetch them via [`PoolArena::get_any`] and repair them
     /// instead of resampling from scratch.
     epoch: u64,
-}
-
-/// An entry exported by [`PoolArena::drain`] for re-sharding: everything
-/// needed to rebuild the entry elsewhere without losing recency,
-/// frequency, or the pin.
-pub(crate) struct DrainedEntry {
-    pub(crate) key: PoolKey,
-    pub(crate) pool: Arc<MrrPool>,
-    pub(crate) last_used: u64,
-    pub(crate) uses: u64,
-    pub(crate) pinned: bool,
-    pub(crate) epoch: u64,
 }
 
 /// Cumulative arena counters plus the current occupancy.
@@ -134,23 +118,21 @@ pub struct ArenaStats {
     /// Pools evicted (or displaced by a same-key replace) to stay under
     /// the byte budget.
     pub evictions: u64,
-    /// How many lock-striped shards the counters were aggregated over
-    /// (1 for a single arena).
+    /// Always 1: the memory tier is one arena. Kept so the
+    /// `oipa.stats/v4` wire form is unchanged.
     pub shards: usize,
     /// Resident pools stamped with an older lineage epoch: not servable
     /// as-is, retained as dirty-repairable inputs for delta repair.
     pub stale: usize,
 }
 
-/// A policy-driven pool cache bounded by [`MrrPool::memory_bytes`]
-/// (LRU by default; see [`crate::eviction`]).
+/// An LRU pool cache bounded by [`MrrPool::memory_bytes`].
 pub struct PoolArena {
     capacity_bytes: usize,
     entries: Vec<ArenaEntry>,
     /// Maintained running total of `entries[..].bytes` — budget checks
     /// must not fold over the arena on every insert.
     resident_bytes: usize,
-    policy: Arc<dyn EvictionPolicy>,
     clock: AtomicU64,
     /// The lineage epoch entries currently serve at. Entries stamped
     /// with any other epoch are stale: misses for [`Self::get`],
@@ -167,16 +149,10 @@ impl PoolArena {
     /// still holds the most recently inserted pool (a usable pool is
     /// never evicted before it serves its own request).
     pub fn new(capacity_bytes: usize) -> Self {
-        PoolArena::with_policy(capacity_bytes, EvictionPolicyKind::Lru.build())
-    }
-
-    /// Creates an arena evicting by `policy` (see [`crate::eviction`]).
-    pub fn with_policy(capacity_bytes: usize, policy: Arc<dyn EvictionPolicy>) -> Self {
         PoolArena {
             capacity_bytes,
             entries: Vec::new(),
             resident_bytes: 0,
-            policy,
             clock: AtomicU64::new(0),
             current_epoch: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
@@ -184,11 +160,6 @@ impl PoolArena {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The active eviction policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Moves the arena to a new current lineage epoch. Entries stamped
@@ -219,7 +190,6 @@ impl PoolArena {
         match self.entries.iter().find(|e| &e.key == key) {
             Some(entry) if self.servable(entry) => {
                 entry.last_used.store(clock, Ordering::Relaxed);
-                entry.uses.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(&entry.pool))
             }
@@ -245,7 +215,6 @@ impl PoolArena {
         if !self.servable(entry) {
             return Some((Arc::clone(&entry.pool), entry.epoch));
         }
-        entry.uses.fetch_add(1, Ordering::Relaxed);
         self.lookups.fetch_add(1, Ordering::Relaxed);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some((Arc::clone(&entry.pool), self.current_epoch()))
@@ -295,10 +264,6 @@ impl PoolArena {
         let bytes = pool.memory_bytes();
         let mut evicted = Vec::new();
         let mut pinned = pinned;
-        // The insert itself counts one use; a same-key replace inherits
-        // the displaced entry's hit count on top, so frequency-aware
-        // policies see the key's history, not the age of its newest copy.
-        let mut uses = 1u64;
         // A replace must account for the entry it displaces: keep its pin
         // (an injected pool stays unevictable when re-inserted over) and,
         // for sampled entries, hand the old pool back so a tiered store
@@ -311,7 +276,6 @@ impl PoolArena {
             let old = self.entries.swap_remove(idx);
             self.resident_bytes -= old.bytes;
             pinned |= old.pinned;
-            uses += old.uses.load(Ordering::Relaxed);
             if !old.pinned {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 if self.servable(&old) {
@@ -324,7 +288,6 @@ impl PoolArena {
             pool,
             bytes,
             last_used: AtomicU64::new(clock),
-            uses: AtomicU64::new(uses),
             pinned,
             epoch: self.current_epoch.load(Ordering::Relaxed),
         });
@@ -333,40 +296,26 @@ impl PoolArena {
         evicted
     }
 
-    /// Evicts policy-chosen unpinned entries until the budget fits;
-    /// `protect` marks a `last_used` stamp that must survive (the entry
-    /// just inserted). Candidates are offered to the policy in entry
-    /// order, so [`crate::eviction::Lru`]'s first-on-ties choice matches
-    /// the pre-policy arena's victim order exactly. Returns the evicted
-    /// entries at the current epoch, in eviction order (see
-    /// [`Self::insert_evicting`] for why stale ones are not returned).
+    /// Evicts the least-recently-used unpinned entry (the minimum
+    /// `last_used` stamp, the first in entry order on a tie) until the
+    /// budget fits; `protect` marks a `last_used` stamp that must survive
+    /// (the entry just inserted). Returns the evicted entries at the
+    /// current epoch, in eviction order (see [`Self::insert_evicting`]
+    /// for why stale ones are not returned).
     fn enforce_budget(&mut self, protect: Option<u64>) -> Vec<(PoolKey, Arc<MrrPool>)> {
         let mut evicted = Vec::new();
         while self.resident_bytes > self.capacity_bytes {
-            let candidates: Vec<(usize, EvictionMeta)> = self
+            let Some(victim) = self
                 .entries
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| !e.pinned && Some(e.last_used.load(Ordering::Relaxed)) != protect)
-                .map(|(i, e)| {
-                    (
-                        i,
-                        EvictionMeta {
-                            last_used: e.last_used.load(Ordering::Relaxed),
-                            uses: e.uses.load(Ordering::Relaxed),
-                            bytes: e.bytes,
-                        },
-                    )
-                })
-                .collect();
-            if candidates.is_empty() {
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(i, _)| i)
+            else {
                 break; // only pinned/protected entries left
-            }
-            let metas: Vec<EvictionMeta> = candidates.iter().map(|(_, m)| *m).collect();
-            let Some(choice) = self.policy.select_victim(&metas) else {
-                break; // the policy declined: stop, stay over budget
             };
-            let entry = self.entries.remove(candidates[choice].0);
+            let entry = self.entries.remove(victim);
             self.resident_bytes -= entry.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
             if self.servable(&entry) {
@@ -453,58 +402,6 @@ impl PoolArena {
             shards: 1,
             stale: self.entries.iter().filter(|e| !self.servable(e)).count(),
         }
-    }
-
-    /// Exports (and removes) every entry for re-sharding, preserving
-    /// recency stamps, hit counts, and pins. Counters stay behind — the
-    /// caller moves them with [`Self::absorb_counters`].
-    pub(crate) fn drain(&mut self) -> Vec<DrainedEntry> {
-        self.resident_bytes = 0;
-        self.entries
-            .drain(..)
-            .map(|e| DrainedEntry {
-                key: e.key,
-                pool: e.pool,
-                last_used: e.last_used.load(Ordering::Relaxed),
-                uses: e.uses.load(Ordering::Relaxed),
-                pinned: e.pinned,
-                epoch: e.epoch,
-            })
-            .collect()
-    }
-
-    /// Re-inserts a drained entry verbatim: no eviction, no counter
-    /// bumps, stamps and pin carried over. The clock is advanced past the
-    /// restored stamp so future touches stay strictly newer.
-    pub(crate) fn restore(&mut self, entry: DrainedEntry) {
-        let bytes = entry.pool.memory_bytes();
-        self.clock.fetch_max(entry.last_used, Ordering::Relaxed);
-        self.resident_bytes += bytes;
-        self.entries.push(ArenaEntry {
-            key: entry.key,
-            pool: entry.pool,
-            bytes,
-            last_used: AtomicU64::new(entry.last_used),
-            uses: AtomicU64::new(entry.uses),
-            pinned: entry.pinned,
-            epoch: entry.epoch,
-        });
-    }
-
-    /// Folds another arena's cumulative counters into this one — used
-    /// when re-sharding collapses shards so `lookups == hits + misses`
-    /// stays lossless across the reconfiguration.
-    pub(crate) fn absorb_counters(&mut self, stats: ArenaStats, clock: u64) {
-        self.lookups.fetch_add(stats.lookups, Ordering::Relaxed);
-        self.hits.fetch_add(stats.hits, Ordering::Relaxed);
-        self.misses.fetch_add(stats.misses, Ordering::Relaxed);
-        self.evictions.fetch_add(stats.evictions, Ordering::Relaxed);
-        self.clock.fetch_max(clock, Ordering::Relaxed);
-    }
-
-    /// The current recency clock value (for [`Self::absorb_counters`]).
-    pub(crate) fn clock(&self) -> u64 {
-        self.clock.load(Ordering::Relaxed)
     }
 }
 

@@ -141,9 +141,6 @@ struct Manifest {
     /// for how a new chain is reconciled against the recorded one.
     lineage: Vec<u64>,
     clock: u64,
-    /// The memory tier's active eviction-policy name, recorded so a
-    /// disk-only inspection (`store ls`) can report it.
-    eviction: String,
     /// Whole-tier purges over this directory's lifetime.
     purges: u64,
     /// The most recent whole-tier purge, if any.
@@ -158,7 +155,6 @@ impl Manifest {
             version: MANIFEST_VERSION,
             lineage: Vec::new(),
             clock: 0,
-            eviction: "lru".to_string(),
             purges: 0,
             last_purge: None,
             regions: Vec::new(),
@@ -610,22 +606,6 @@ impl DiskTier {
     pub fn dead_bytes(&self) -> u64 {
         let committed: u64 = self.manifest.regions.iter().map(|r| r.committed).sum();
         committed.saturating_sub(self.indexed_bytes)
-    }
-
-    /// The memory tier's eviction-policy name as recorded in the
-    /// manifest (`lru` until a store configured otherwise attaches).
-    pub fn eviction_label(&self) -> &str {
-        &self.manifest.eviction
-    }
-
-    /// Records the attached memory tier's eviction-policy name in the
-    /// manifest, so disk-only inspection (`store ls`) can report it.
-    /// Batched like recency: flushed by the next structural write.
-    pub fn set_eviction_label(&mut self, label: &str) {
-        if self.manifest.eviction != label {
-            self.manifest.eviction = label.to_string();
-            self.dirty = true;
-        }
     }
 
     /// The recorded lineage head fingerprint (0 while unset) — the

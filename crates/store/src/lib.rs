@@ -1,20 +1,17 @@
 //! # oipa-store
 //!
-//! A tiered, persistent, **concurrent** pool store: a lock-striped
-//! in-memory arena (tier 0) backed by an optional on-disk tier of
-//! region-packed, checksummed pools (tier 1).
+//! A tiered, persistent, **concurrent** pool store: an in-memory LRU
+//! arena (tier 0) backed by an optional on-disk tier of region-packed,
+//! checksummed pools (tier 1).
 //!
 //! Sampling θ MRR sets dominates end-to-end latency (the paper's "sample
 //! time" row; the service bench measures ~126–137× warm-over-cold on the
 //! seeded medium instance), yet a memory-only arena loses every warm pool
 //! to process exit and to byte pressure. This crate keeps them:
 //!
-//! * **Tier 0 — the sharded arena**: N lock-striped [`PoolArena`] shards
-//!   (key-hash routed, per-shard byte budgets summing exactly to the
-//!   configured total) caching [`MrrPool`]s keyed by [`PoolKey`].
-//!   Victim selection is delegated to a pluggable [`EvictionPolicy`]
-//!   ([`eviction::Lru`] — bitwise-compatible with the historical order —
-//!   or [`eviction::Lfu`]), selected via [`StoreConfig::eviction`].
+//! * **Tier 0 — the arena**: one [`PoolArena`] behind one `RwLock`,
+//!   caching [`MrrPool`]s keyed by [`PoolKey`] under a byte budget and
+//!   evicting the least recently used entry first.
 //! * **Tier 1 — [`DiskTier`]**: a store directory (an `index.json`
 //!   manifest plus a small number of fixed-capacity **region** files,
 //!   each an append-only pack of CRC-checksummed pools) with its own
@@ -31,10 +28,9 @@
 //!
 //! Concurrency: every cache operation takes `&self` — [`PoolStore`] is
 //! `Send + Sync`, so one store can sit behind an `Arc` and serve any
-//! number of threads. A memory lookup or insert locks exactly one shard
-//! (hits share a read lock with atomic recency/counters; readers never
-//! block each other), so requests for different keys proceed in parallel
-//! and only true same-shard collisions contend. The disk tier sits
+//! number of threads. Memory hits share the arena's read lock (recency
+//! stamps and counters are atomics, so readers never block each other);
+//! only inserts and evictions take it exclusively. The disk tier sits
 //! behind one mutex covering its manifest, recency stamps, counters and
 //! file writes (puts and spills). A disk hit holds that lock only to
 //! find its entry and read the bytes, and again to settle the outcome;
@@ -44,7 +40,7 @@
 //! the disk read and the populate step: every racer after the first
 //! takes the pool the first one promoted into memory or populated, so a
 //! cold key is decoded or populated once. Lock order is always in-flight
-//! guard → disk tier → arena shard lock, and no shard lock is ever held
+//! guard → disk tier → arena lock, and the arena lock is never held
 //! while acquiring the disk lock, so none of them can deadlock.
 //!
 //! Durability rules: pool payloads are appended to the newest region and
@@ -120,28 +116,23 @@
 
 mod arena;
 mod disk;
-pub mod eviction;
 pub mod health;
 pub mod io;
-mod shard;
 
 pub use arena::{ArenaStats, PoolArena, PoolKey};
 pub use disk::{
     DiskStats, DiskTier, GcReport, ManifestEntry, OpenReport, PurgeRecord, RegionRow, VerifyReport,
     DEFAULT_REGION_BYTES, MANIFEST_FILE, QUARANTINE_DIR, REGION_PREFIX, REGION_SUFFIX,
 };
-pub use eviction::{EvictionMeta, EvictionPolicy, EvictionPolicyKind};
 pub use health::{TierHealth, TierHealthSnapshot, HEALTH_DEGRADED, HEALTH_OK};
 pub use io::{DynStoreIo, FaultIo, FaultSchedule, RealIo, StoreIo};
-pub use shard::DEFAULT_SHARDS;
 
 use disk::{Lookup, RawEntry};
 use oipa_sampler::MrrPool;
 use serde::{Deserialize, Serialize};
-use shard::ShardedArena;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Default memory-tier byte budget (≈256 MiB).
@@ -189,13 +180,6 @@ pub struct StoreConfig {
     pub mem_bytes: Option<usize>,
     /// Disk-tier byte budget (default [`DEFAULT_DISK_BYTES`]).
     pub disk_bytes: u64,
-    /// Memory-tier shard (lock stripe) count override. `None` (the
-    /// default) keeps the arena's current striping
-    /// ([`DEFAULT_SHARDS`] when opening a fresh store).
-    pub shards: Option<usize>,
-    /// Memory-tier eviction policy override. `None` (the default) keeps
-    /// the arena's current policy (LRU when opening a fresh store).
-    pub eviction: Option<EvictionPolicyKind>,
     /// Disk-tier region file capacity (default [`DEFAULT_REGION_BYTES`]).
     pub region_bytes: u64,
     /// Write inserts to disk immediately (default `true`). When `false`
@@ -214,8 +198,6 @@ impl std::fmt::Debug for StoreConfig {
             .field("dir", &self.dir)
             .field("mem_bytes", &self.mem_bytes)
             .field("disk_bytes", &self.disk_bytes)
-            .field("shards", &self.shards)
-            .field("eviction", &self.eviction)
             .field("region_bytes", &self.region_bytes)
             .field("write_through", &self.write_through)
             .field("io", &self.io.as_ref().map(|_| "<custom StoreIo>"))
@@ -230,8 +212,6 @@ impl StoreConfig {
             dir: dir.into(),
             mem_bytes: None,
             disk_bytes: DEFAULT_DISK_BYTES,
-            shards: None,
-            eviction: None,
             region_bytes: DEFAULT_REGION_BYTES,
             write_through: true,
             io: None,
@@ -289,13 +269,8 @@ pub type Ancestor = (Arc<MrrPool>, u64);
 /// Combined occupancy/counter snapshot of both tiers.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StoreStats {
-    /// Memory-tier aggregate stats (per-shard counters summed
-    /// losslessly; `mem.shards` carries the stripe count).
+    /// Memory-tier stats.
     pub mem: ArenaStats,
-    /// Per-shard memory-tier stats, in shard order.
-    pub mem_shards: Vec<ArenaStats>,
-    /// The active eviction-policy name (`lru` / `lfu`).
-    pub policy: String,
     /// Disk-tier stats (absent on memory-only stores).
     pub disk: Option<DiskStats>,
     /// Disk-tier health (absent on memory-only stores).
@@ -314,7 +289,7 @@ pub const STATS_SCHEMA: &str = "oipa.stats/v4";
 /// The *wire* form of a store's counters: a versioned, serde-round-trip
 /// snapshot of both tiers shared by every surface that ships stats over
 /// a boundary — the `oipa-server` `GET /stats` endpoint serializes one,
-/// `oipa-cli bench serve` deserializes it back, and the schema tag lets
+/// `wirebench` deserializes it back, and the schema tag lets
 /// either side reject a snapshot from an incompatible peer.
 ///
 /// [`StoreStats`] is the in-process view; this type exists because the
@@ -327,9 +302,10 @@ pub struct StatsSnapshot {
     pub schema: String,
     /// Memory-tier aggregate occupancy and counters.
     pub mem: ArenaStats,
-    /// Per-shard memory-tier occupancy and counters, in shard order.
+    /// Per-shard memory-tier stats: one entry, equal to `mem` (the
+    /// memory tier is one arena; the field keeps the v4 wire form).
     pub mem_shards: Vec<ArenaStats>,
-    /// The active eviction-policy name (`lru` / `lfu`).
+    /// The memory tier's eviction policy: always `lru`.
     pub policy: String,
     /// Disk-tier occupancy and counters (absent on memory-only stores).
     pub disk: Option<DiskStats>,
@@ -349,22 +325,21 @@ impl From<StoreStats> for StatsSnapshot {
         StatsSnapshot {
             schema: STATS_SCHEMA.to_string(),
             mem: s.mem,
-            mem_shards: s.mem_shards,
-            policy: s.policy,
+            mem_shards: vec![s.mem],
+            policy: "lru".to_string(),
             disk: s.disk,
             disk_health: s.disk_health,
         }
     }
 }
 
-/// The tiered pool store: sharded memory arena in front, optional disk
-/// tier behind. All cache operations take `&self` (the store is `Send +
+/// The tiered pool store: memory arena in front, optional disk tier
+/// behind. All cache operations take `&self` (the store is `Send +
 /// Sync`); see the crate docs for the locking discipline.
 pub struct PoolStore {
-    /// Lock-striped memory tier: each operation locks only the shard its
-    /// key hashes to (readers share; inserts/evictions are exclusive per
-    /// shard).
-    arena: ShardedArena,
+    /// The memory tier: lookups share the read lock, inserts and
+    /// evictions take it exclusively.
+    arena: RwLock<PoolArena>,
     /// The disk tier. The lock covers manifest state, recency stamps,
     /// counters and writes; a lookup holds it to read an entry's bytes
     /// and to settle the outcome, but not while verifying and decoding
@@ -379,24 +354,17 @@ pub struct PoolStore {
     in_flight: Mutex<HashMap<PoolKey, Arc<Slot>>>,
     /// The store's view of the instance-fingerprint chain (kept even on
     /// memory-only stores, where there is no manifest to record it).
-    /// Lock order: this lock → disk lock → shard lock; only
+    /// Lock order: this lock → disk lock → arena lock; only
     /// [`Self::set_lineage`] ever holds it across another lock.
     lineage: Mutex<Vec<u64>>,
     write_through: bool,
 }
 
 impl PoolStore {
-    /// A memory-only store (the pre-store service behavior): one shard,
-    /// LRU eviction.
+    /// A memory-only store (the pre-store service behavior).
     pub fn memory_only(mem_bytes: usize) -> Self {
-        PoolStore::memory_only_with(mem_bytes, DEFAULT_SHARDS, EvictionPolicyKind::Lru)
-    }
-
-    /// A memory-only store with an explicit shard count and eviction
-    /// policy.
-    pub fn memory_only_with(mem_bytes: usize, shards: usize, eviction: EvictionPolicyKind) -> Self {
         PoolStore {
-            arena: ShardedArena::new(mem_bytes, shards, eviction),
+            arena: RwLock::new(PoolArena::new(mem_bytes)),
             disk: None,
             in_flight: Mutex::new(HashMap::new()),
             lineage: Mutex::new(Vec::new()),
@@ -407,35 +375,23 @@ impl PoolStore {
     /// Opens a tiered store over a directory, recovering the manifest
     /// (see [`DiskTier::open`]).
     pub fn open(config: StoreConfig) -> StoreResult<Self> {
-        let mut store = PoolStore::memory_only_with(
-            config.mem_bytes.unwrap_or(DEFAULT_MEM_BYTES),
-            config.shards.unwrap_or(DEFAULT_SHARDS),
-            config.eviction.unwrap_or_default(),
-        );
+        let mut store = PoolStore::memory_only(config.mem_bytes.unwrap_or(DEFAULT_MEM_BYTES));
         store.attach_disk(config)?;
         Ok(store)
     }
 
     /// Attaches (or replaces) the disk tier on an existing store,
-    /// keeping the memory tier's contents. The memory budget, shard
-    /// count, and eviction policy change only when the config names them
-    /// explicitly; entries evicted by a smaller budget (or re-striping)
+    /// keeping the memory tier's contents. The memory budget changes
+    /// only when the config names one; entries a smaller budget evicts
     /// spill to the new disk tier. Exclusive (`&mut self`): tier
     /// topology is configuration, not serving.
     pub fn attach_disk(&mut self, config: StoreConfig) -> StoreResult<()> {
         let io = config.io.unwrap_or_else(RealIo::arc);
-        let mut disk = DiskTier::open_with(config.dir, config.disk_bytes, config.region_bytes, io)?;
-        let shards = config.shards.unwrap_or_else(|| self.arena.shard_count());
-        let eviction = config.eviction.unwrap_or_else(|| self.arena.policy());
-        disk.set_eviction_label(eviction.name());
+        let disk = DiskTier::open_with(config.dir, config.disk_bytes, config.region_bytes, io)?;
         // Adopt the directory's recorded lineage: the memory tier must
         // agree with the manifest on which epoch serves.
         *lock(&self.lineage) = disk.lineage().to_vec();
-        self.arena.set_current_epoch(disk.current_epoch());
-        if shards != self.arena.shard_count() || eviction != self.arena.policy() {
-            let spilled = self.arena.reconfigure(shards, eviction);
-            spill(&mut disk, spilled);
-        }
+        read(&self.arena).set_current_epoch(disk.current_epoch());
         self.disk = Some(Mutex::new(disk));
         self.write_through = config.write_through;
         if let Some(mem_bytes) = config.mem_bytes {
@@ -447,23 +403,6 @@ impl PoolStore {
     /// Whether a disk tier is attached.
     pub fn has_disk(&self) -> bool {
         self.disk.is_some()
-    }
-
-    /// How many lock stripes the memory tier is sharded over.
-    pub fn shard_count(&self) -> usize {
-        self.arena.shard_count()
-    }
-
-    /// The shard index a key routes to (stable for a given shard count —
-    /// the contention bench uses this to construct same-shard and
-    /// spread key sets).
-    pub fn shard_of(&self, key: &PoolKey) -> usize {
-        self.arena.shard_of(key)
-    }
-
-    /// The active memory-tier eviction policy's name (`lru` / `lfu`).
-    pub fn policy_name(&self) -> &'static str {
-        self.arena.policy().name()
     }
 
     /// The disk tier, when attached (admin surface: `entries`, `verify`,
@@ -489,17 +428,17 @@ impl PoolStore {
         if let Some(disk) = self.disk.as_ref() {
             purged = lock(disk).set_lineage(lineage)?;
         }
+        let mut arena = write(&self.arena);
         if diverged_at_root {
-            let resident = self.arena.stats().entries;
-            self.arena.evict_unpinned();
-            purged = purged || self.arena.stats().entries < resident;
+            let resident = arena.len();
+            arena.evict_unpinned();
+            purged = purged || arena.len() < resident;
         } else if prefix < recorded.len() {
             // Shared root, abandoned tail: resident pools sampled past
             // the divergence are unrepairable.
-            self.arena.evict_epochs_from(prefix as u64);
+            arena.evict_epochs_from(prefix as u64);
         }
-        self.arena
-            .set_current_epoch(lineage.len().saturating_sub(1) as u64);
+        arena.set_current_epoch(lineage.len().saturating_sub(1) as u64);
         *recorded = lineage.to_vec();
         Ok(purged)
     }
@@ -512,7 +451,7 @@ impl PoolStore {
 
     /// The lineage epoch pools currently serve at.
     pub fn current_epoch(&self) -> u64 {
-        self.arena.current_epoch()
+        read(&self.arena).current_epoch()
     }
 
     /// Resolves a pool, populating it when no tier holds it. The steps:
@@ -567,7 +506,10 @@ impl PoolStore {
     /// caller repairs and re-inserts at the current epoch, which is the
     /// write that lands the repaired pool in both tiers.
     pub fn get_any(&self, key: &PoolKey) -> Option<(Arc<MrrPool>, u64, PoolTier)> {
-        if let Some((pool, epoch)) = self.arena.get_any(key) {
+        // Its own statement: the arena guard must drop before the disk
+        // lookup takes the disk lock.
+        let resident = read(&self.arena).get_any(key);
+        if let Some((pool, epoch)) = resident {
             return Some((pool, epoch, PoolTier::Memory));
         }
         let (pool, epoch) = self.disk_lookup(key, Lookup::AnyEpoch)?;
@@ -583,20 +525,15 @@ impl PoolStore {
         hit: impl FnOnce(Arc<MrrPool>, PoolTier) -> T,
         miss: impl FnOnce(&mut Option<Arc<MrrPool>>) -> T,
     ) -> T {
-        if let Some(pool) = self.arena.get(key) {
+        let resident = read(&self.arena).get(key);
+        if let Some(pool) = resident {
             return hit(pool, PoolTier::Memory);
         }
         let slot = Arc::clone(lock(&self.in_flight).entry(key.clone()).or_default());
         let mut held = lock(&slot);
         let resolved = if let Some(pool) = held.as_ref() {
             hit(Arc::clone(pool), PoolTier::Memory)
-        } else if let Some(pool) = self
-            .arena
-            .get_any(key)
-            .filter(|&(_, epoch)| epoch == self.arena.current_epoch())
-            .map(|(pool, _)| pool)
-        {
-            // The miss is already counted; `get_any` counted the hit.
+        } else if let Some(pool) = self.servable_again(key) {
             hit(pool, PoolTier::Memory)
         } else if let Some((pool, _)) = self.disk_lookup(key, Lookup::Get) {
             hit(pool, PoolTier::Disk)
@@ -612,6 +549,16 @@ impl PoolStore {
             in_flight.remove(key);
         }
         resolved
+    }
+
+    /// Step 3 of [`Self::fetch`]: a second memory look after a counted
+    /// miss. The miss is already counted, so a servable entry counts only
+    /// its hit (see [`PoolArena::get_any`]) and a stale one counts
+    /// nothing.
+    fn servable_again(&self, key: &PoolKey) -> Option<Arc<MrrPool>> {
+        let arena = read(&self.arena);
+        let (pool, epoch) = arena.get_any(key)?;
+        (epoch == arena.current_epoch()).then_some(pool)
     }
 
     /// A disk-tier lookup, step 1 of which is [`DiskTier::read`] under
@@ -647,9 +594,13 @@ impl PoolStore {
         tier.record_decode(decoding);
         let (pool, epoch) = tier.settle(key, at, decoded, lookup)?;
         let pool = Arc::new(pool);
-        if lookup != Lookup::AnyEpoch && pool.memory_bytes() <= self.arena.capacity_bytes() {
-            let evicted = self.arena.insert_evicting(key.clone(), Arc::clone(&pool));
-            spill(&mut tier, evicted);
+        if lookup != Lookup::AnyEpoch {
+            let mut arena = write(&self.arena);
+            if pool.memory_bytes() <= arena.capacity_bytes() {
+                let evicted = arena.insert_evicting(key.clone(), Arc::clone(&pool));
+                drop(arena);
+                spill(&mut tier, evicted);
+            }
         }
         Some((pool, epoch))
     }
@@ -660,7 +611,7 @@ impl PoolStore {
     /// budget is not cached in memory (it is still persisted): the
     /// caller keeps its `Arc` and serves from that.
     pub fn insert(&self, key: PoolKey, pool: Arc<MrrPool>) {
-        let oversized = pool.memory_bytes() > self.arena.capacity_bytes();
+        let oversized = pool.memory_bytes() > read(&self.arena).capacity_bytes();
         if self.write_through || oversized {
             // These paths write the pool now: disk lock first (the
             // crate-wide lock order), held across the arena insert so the
@@ -674,7 +625,7 @@ impl PoolStore {
                 // above.
                 return;
             }
-            let evicted = self.arena.insert_evicting(key, pool);
+            let evicted = write(&self.arena).insert_evicting(key, pool);
             if let Some(disk) = disk.as_deref_mut() {
                 spill(disk, evicted);
             }
@@ -682,9 +633,9 @@ impl PoolStore {
         }
         // Lazy-write path: a pure memory insert must not queue behind
         // in-flight disk I/O — only take the disk lock when an eviction
-        // actually has something to spill (the shard guard is already
+        // actually has something to spill (the arena guard is already
         // released by then, preserving the lock order).
-        let evicted = self.arena.insert_evicting(key, pool);
+        let evicted = write(&self.arena).insert_evicting(key, pool);
         if evicted.is_empty() {
             return;
         }
@@ -699,7 +650,7 @@ impl PoolStore {
     /// the insert displaces under byte pressure still spill to disk,
     /// exactly as they would on any other insert.
     pub fn insert_pinned(&self, key: PoolKey, pool: Arc<MrrPool>) {
-        let evicted = self.arena.insert_pinned(key, pool);
+        let evicted = write(&self.arena).insert_pinned(key, pool);
         if evicted.is_empty() {
             return;
         }
@@ -708,11 +659,11 @@ impl PoolStore {
         }
     }
 
-    /// Replaces the memory-tier byte budget (re-split evenly across the
-    /// shards); entries that no longer fit spill to disk.
+    /// Replaces the memory-tier byte budget; entries that no longer fit
+    /// spill to disk.
     pub fn set_mem_capacity(&self, mem_bytes: usize) {
         let mut disk = self.disk.as_ref().map(lock);
-        let evicted = self.arena.set_capacity(mem_bytes);
+        let evicted = write(&self.arena).set_capacity(mem_bytes);
         if let Some(disk) = disk.as_deref_mut() {
             spill(disk, evicted);
         }
@@ -720,7 +671,7 @@ impl PoolStore {
 
     /// Drops every memory-resident pool (disk entries are kept).
     pub fn clear_memory(&self) {
-        self.arena.clear();
+        write(&self.arena).clear();
     }
 
     /// Drops every *sampled* (unpinned) memory entry without spilling —
@@ -728,7 +679,7 @@ impl PoolStore {
     /// stale, not cold. Pair with [`Self::set_lineage`] to purge the
     /// disk tier of the same staleness.
     pub fn evict_unpinned(&self) {
-        self.arena.evict_unpinned();
+        write(&self.arena).evict_unpinned();
     }
 
     /// Flushes any batched disk-tier recency stamps to the manifest (see
@@ -740,15 +691,9 @@ impl PoolStore {
         }
     }
 
-    /// Memory-tier aggregate stats (the historical `arena_stats`
-    /// surface; per-shard counters summed losslessly).
+    /// Memory-tier stats.
     pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
-    }
-
-    /// Per-shard memory-tier stats, in shard order.
-    pub fn shard_stats(&self) -> Vec<ArenaStats> {
-        self.arena.shard_stats()
+        read(&self.arena).stats()
     }
 
     /// Both tiers' stats.
@@ -761,9 +706,7 @@ impl PoolStore {
             None => (None, None),
         };
         StoreStats {
-            mem: self.arena.stats(),
-            mem_shards: self.arena.shard_stats(),
-            policy: self.arena.policy().name().to_string(),
+            mem: self.arena_stats(),
             disk,
             disk_health,
         }
@@ -789,14 +732,21 @@ fn spill(disk: &mut DiskTier, evicted: Vec<(PoolKey, Arc<MrrPool>)>) {
 /// built for the fetches queued on it.
 type Slot = Mutex<Option<Arc<MrrPool>>>;
 
-// Lock helper: a poisoned lock means another thread panicked mid-write.
+// Lock helpers: a poisoned lock means another thread panicked mid-write.
 // The cache's data is a redundant copy of recomputable state (pools are
 // resampleable, the disk tier re-verifies everything it reads), so
 // serving through a poisoned lock is safe — propagating the panic to
-// every other request thread is not. (The arena shards recover the same
-// way; see `shard.rs`.)
+// every other request thread is not.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn read(arena: &RwLock<PoolArena>) -> RwLockReadGuard<'_, PoolArena> {
+    arena.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn write(arena: &RwLock<PoolArena>) -> RwLockWriteGuard<'_, PoolArena> {
+    arena.write().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Takes the disk-tier lock for a serving lookup, recording how long it

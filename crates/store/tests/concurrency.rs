@@ -6,9 +6,7 @@
 
 use oipa_sampler::testkit::fig1;
 use oipa_sampler::MrrPool;
-use oipa_store::{
-    Ancestor, EvictionPolicyKind, Fetched, PoolKey, PoolStore, PoolTier, StoreConfig,
-};
+use oipa_store::{Ancestor, Fetched, PoolKey, PoolStore, PoolTier, StoreConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -30,99 +28,109 @@ fn key(seed: u64) -> PoolKey {
 }
 
 /// M reader threads over shared keys: every hit must return the right
-/// pool, and the atomic counters must not lose a single update.
+/// pool, and the atomic counters must not lose a single update. Run at
+/// two key counts, so the threads collide on few keys and on many.
 #[test]
 fn concurrent_reads_are_consistent_and_lossless() {
     const THREADS: usize = 8;
-    const KEYS: u64 = 4;
-    const ROUNDS: usize = 50;
 
-    let store = Arc::new(PoolStore::memory_only(usize::MAX));
-    let pools: Vec<Arc<MrrPool>> = (0..KEYS).map(|s| pool(400, s)).collect();
-    for (s, p) in pools.iter().enumerate() {
-        store.insert(key(s as u64), Arc::clone(p));
-    }
-    let barrier = Arc::new(Barrier::new(THREADS));
-
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            let barrier = Arc::clone(&barrier);
-            let pools = &pools;
-            scope.spawn(move || {
-                barrier.wait();
-                for r in 0..ROUNDS {
-                    // Each thread walks the keys in its own order, plus a
-                    // guaranteed-miss probe every round.
-                    let s = ((t + r) % KEYS as usize) as u64;
-                    let (got, tier) = store.get(&key(s)).expect("resident key");
-                    assert_eq!(tier, PoolTier::Memory);
-                    assert_eq!(got.fingerprint(), pools[s as usize].fingerprint());
-                    assert!(store.get(&key(1000 + s)).is_none(), "phantom key served");
-                }
-            });
+    for (keys, rounds) in [(4u64, 50usize), (12, 40)] {
+        let store = Arc::new(PoolStore::memory_only(usize::MAX));
+        let pools: Vec<Arc<MrrPool>> = (0..keys).map(|s| pool(400, s)).collect();
+        for (s, p) in pools.iter().enumerate() {
+            store.insert(key(s as u64), Arc::clone(p));
         }
-    });
+        let barrier = Arc::new(Barrier::new(THREADS));
 
-    let stats = store.arena_stats();
-    let expected_lookups = (THREADS * ROUNDS * 2) as u64;
-    assert_eq!(stats.lookups, expected_lookups, "lost lookup updates");
-    assert_eq!(stats.hits, (THREADS * ROUNDS) as u64, "lost hit updates");
-    assert_eq!(stats.misses, (THREADS * ROUNDS) as u64, "lost miss updates");
-    assert_eq!(
-        stats.lookups,
-        stats.hits + stats.misses,
-        "stats must stay internally consistent under concurrency"
-    );
-    assert_eq!(stats.entries, KEYS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let store = Arc::clone(&store);
+                let barrier = Arc::clone(&barrier);
+                let pools = &pools;
+                scope.spawn(move || {
+                    barrier.wait();
+                    for r in 0..rounds {
+                        // Each thread walks the keys in its own order, plus
+                        // a guaranteed-miss probe every round.
+                        let s = ((t + r) % keys as usize) as u64;
+                        let (got, tier) = store.get(&key(s)).expect("resident key");
+                        assert_eq!(tier, PoolTier::Memory);
+                        assert_eq!(got.fingerprint(), pools[s as usize].fingerprint());
+                        assert!(store.get(&key(1000 + s)).is_none(), "phantom key served");
+                    }
+                });
+            }
+        });
+
+        let stats = store.arena_stats();
+        let expected_lookups = (THREADS * rounds * 2) as u64;
+        assert_eq!(stats.lookups, expected_lookups, "{keys} keys: lost lookups");
+        assert_eq!(
+            stats.hits,
+            (THREADS * rounds) as u64,
+            "{keys} keys: lost hits"
+        );
+        assert_eq!(
+            stats.misses,
+            (THREADS * rounds) as u64,
+            "{keys} keys: lost misses"
+        );
+        assert_eq!(
+            stats.lookups,
+            stats.hits + stats.misses,
+            "stats must stay internally consistent under concurrency"
+        );
+        assert_eq!(stats.entries, keys as usize);
+    }
 }
 
 /// Mixed readers and writers racing on overlapping keys: no panics, no
 /// lost counters, and every key that was ever inserted serves its exact
-/// pool afterwards.
+/// pool afterwards. Run at two key counts.
 #[test]
 fn concurrent_inserts_and_reads_do_not_corrupt_the_arena() {
     const THREADS: usize = 6;
-    const KEYS: u64 = 5;
     const ROUNDS: usize = 30;
 
-    let store = Arc::new(PoolStore::memory_only(usize::MAX));
-    let pools: Vec<Arc<MrrPool>> = (0..KEYS).map(|s| pool(300, s)).collect();
-    let barrier = Arc::new(Barrier::new(THREADS));
+    for keys in [5u64, 10] {
+        let store = Arc::new(PoolStore::memory_only(usize::MAX));
+        let pools: Vec<Arc<MrrPool>> = (0..keys).map(|s| pool(300, s)).collect();
+        let barrier = Arc::new(Barrier::new(THREADS));
 
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            let barrier = Arc::clone(&barrier);
-            let pools = &pools;
-            scope.spawn(move || {
-                barrier.wait();
-                for r in 0..ROUNDS {
-                    let s = ((t * 7 + r) % KEYS as usize) as u64;
-                    if (t + r) % 3 == 0 {
-                        // Writers re-insert over live keys (the replace
-                        // path) while readers scan them.
-                        store.insert(key(s), Arc::clone(&pools[s as usize]));
-                    } else if let Some((got, _)) = store.get(&key(s)) {
-                        assert_eq!(
-                            got.fingerprint(),
-                            pools[s as usize].fingerprint(),
-                            "a lookup returned the wrong pool for its key"
-                        );
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let store = Arc::clone(&store);
+                let barrier = Arc::clone(&barrier);
+                let pools = &pools;
+                scope.spawn(move || {
+                    barrier.wait();
+                    for r in 0..ROUNDS {
+                        let s = ((t * 7 + r) % keys as usize) as u64;
+                        if (t + r) % 3 == 0 {
+                            // Writers re-insert over live keys (the replace
+                            // path) while readers scan them.
+                            store.insert(key(s), Arc::clone(&pools[s as usize]));
+                        } else if let Some((got, _)) = store.get(&key(s)) {
+                            assert_eq!(
+                                got.fingerprint(),
+                                pools[s as usize].fingerprint(),
+                                "a lookup returned the wrong pool for its key"
+                            );
+                        }
                     }
-                }
-            });
-        }
-    });
+                });
+            }
+        });
 
-    let stats = store.arena_stats();
-    assert_eq!(stats.lookups, stats.hits + stats.misses);
-    assert_eq!(stats.entries, KEYS as usize);
-    assert_eq!(stats.bytes, pools.iter().map(|p| p.memory_bytes()).sum());
-    // Every key serves its exact pool once the dust settles.
-    for s in 0..KEYS {
-        let (got, _) = store.get(&key(s)).expect("inserted key lost");
-        assert_eq!(got.fingerprint(), pools[s as usize].fingerprint());
+        let stats = store.arena_stats();
+        assert_eq!(stats.lookups, stats.hits + stats.misses);
+        assert_eq!(stats.entries, keys as usize);
+        assert_eq!(stats.bytes, pools.iter().map(|p| p.memory_bytes()).sum());
+        // Every key serves its exact pool once the dust settles.
+        for s in 0..keys {
+            let (got, _) = store.get(&key(s)).expect("inserted key lost");
+            assert_eq!(got.fingerprint(), pools[s as usize].fingerprint());
+        }
     }
 }
 
@@ -170,130 +178,6 @@ fn pinned_pool_survives_concurrent_pressure_and_replaces() {
 
     let (got, _) = store.get(&pinned_key).expect("pinned pool lost");
     assert_eq!(got.fingerprint(), pinned.fingerprint());
-}
-
-/// The lossless-counter invariant must survive lock striping: the same
-/// read race as above, at every shard count the config surface allows,
-/// with keys spread across (and colliding within) the stripes.
-#[test]
-fn sharded_reads_keep_counters_lossless_at_any_stripe_count() {
-    const THREADS: usize = 8;
-    const KEYS: u64 = 12;
-    const ROUNDS: usize = 40;
-
-    for (shards, policy) in [
-        (1, EvictionPolicyKind::Lru),
-        (4, EvictionPolicyKind::Lru),
-        (16, EvictionPolicyKind::Lfu),
-    ] {
-        let store = Arc::new(PoolStore::memory_only_with(usize::MAX, shards, policy));
-        assert_eq!(store.shard_count(), shards);
-        let pools: Vec<Arc<MrrPool>> = (0..KEYS).map(|s| pool(300, s)).collect();
-        for (s, p) in pools.iter().enumerate() {
-            store.insert(key(s as u64), Arc::clone(p));
-        }
-        // The key set must actually exercise more than one stripe when
-        // more than one exists.
-        if shards > 1 {
-            let hit: std::collections::HashSet<usize> =
-                (0..KEYS).map(|s| store.shard_of(&key(s))).collect();
-            assert!(hit.len() > 1, "{shards} shards: keys all on one stripe");
-        }
-        let barrier = Arc::new(Barrier::new(THREADS));
-
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let store = Arc::clone(&store);
-                let barrier = Arc::clone(&barrier);
-                let pools = &pools;
-                scope.spawn(move || {
-                    barrier.wait();
-                    for r in 0..ROUNDS {
-                        let s = ((t + r) % KEYS as usize) as u64;
-                        let (got, tier) = store.get(&key(s)).expect("resident key");
-                        assert_eq!(tier, PoolTier::Memory);
-                        assert_eq!(got.fingerprint(), pools[s as usize].fingerprint());
-                        assert!(store.get(&key(1000 + s)).is_none(), "phantom key");
-                    }
-                });
-            }
-        });
-
-        let stats = store.arena_stats();
-        assert_eq!(
-            stats.lookups,
-            (THREADS * ROUNDS * 2) as u64,
-            "{shards} shards: lost lookups"
-        );
-        assert_eq!(stats.hits, (THREADS * ROUNDS) as u64, "{shards} shards");
-        assert_eq!(stats.misses, (THREADS * ROUNDS) as u64, "{shards} shards");
-        assert_eq!(
-            stats.lookups,
-            stats.hits + stats.misses,
-            "{shards} shards: aggregation must be lossless"
-        );
-        assert_eq!(stats.entries, KEYS as usize);
-        // The per-shard view sums exactly to the aggregate.
-        let shard_stats = store.shard_stats();
-        assert_eq!(shard_stats.len(), shards);
-        assert_eq!(
-            shard_stats.iter().map(|s| s.lookups).sum::<u64>(),
-            stats.lookups
-        );
-        assert_eq!(
-            shard_stats.iter().map(|s| s.entries).sum::<usize>(),
-            stats.entries
-        );
-    }
-}
-
-/// Mixed inserts and reads racing across stripes: no lost counters, no
-/// wrong pools, every inserted key served afterwards — at 16 shards.
-#[test]
-fn sharded_inserts_and_reads_do_not_corrupt_the_striped_arena() {
-    const THREADS: usize = 6;
-    const KEYS: u64 = 10;
-    const ROUNDS: usize = 30;
-
-    let store = Arc::new(PoolStore::memory_only_with(
-        usize::MAX,
-        16,
-        EvictionPolicyKind::Lru,
-    ));
-    let pools: Vec<Arc<MrrPool>> = (0..KEYS).map(|s| pool(300, s)).collect();
-    let barrier = Arc::new(Barrier::new(THREADS));
-
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let store = Arc::clone(&store);
-            let barrier = Arc::clone(&barrier);
-            let pools = &pools;
-            scope.spawn(move || {
-                barrier.wait();
-                for r in 0..ROUNDS {
-                    let s = ((t * 7 + r) % KEYS as usize) as u64;
-                    if (t + r) % 3 == 0 {
-                        store.insert(key(s), Arc::clone(&pools[s as usize]));
-                    } else if let Some((got, _)) = store.get(&key(s)) {
-                        assert_eq!(
-                            got.fingerprint(),
-                            pools[s as usize].fingerprint(),
-                            "wrong pool under striping"
-                        );
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = store.arena_stats();
-    assert_eq!(stats.lookups, stats.hits + stats.misses);
-    assert_eq!(stats.entries, KEYS as usize);
-    assert_eq!(stats.bytes, pools.iter().map(|p| p.memory_bytes()).sum());
-    for s in 0..KEYS {
-        let (got, _) = store.get(&key(s)).expect("inserted key lost");
-        assert_eq!(got.fingerprint(), pools[s as usize].fingerprint());
-    }
 }
 
 /// Concurrent misses promoting the same disk segment: every thread gets

@@ -1,10 +1,9 @@
-//! Eviction-policy suite: a golden test pinning the LRU policy to the
-//! pre-shard arena's exact eviction order, and a seeded zipfian property
-//! test that LFU never evicts the most-frequently-used key.
+//! Eviction suite: a golden test pinning the memory tier to its exact
+//! least-recently-used victim order.
 
 use oipa_sampler::testkit::fig1;
 use oipa_sampler::MrrPool;
-use oipa_store::{EvictionPolicyKind, PoolKey, PoolStore};
+use oipa_store::{PoolKey, PoolStore, StatsSnapshot};
 use std::sync::Arc;
 
 fn pool(theta: usize, seed: u64) -> Arc<MrrPool> {
@@ -16,17 +15,16 @@ fn key(i: u64) -> PoolKey {
     PoolKey::sampled(format!("evict-{i}"), 400, i)
 }
 
-/// Golden: the LRU policy on a single shard must reproduce the exact
-/// victim order of the pre-shard arena — least-recently-used first, with
-/// a `get` refreshing recency. The fixed workload below evicted k1 then
-/// k0 before the policy became pluggable; it must keep doing so.
+/// Golden: the memory tier must reproduce the exact victim order of the
+/// pre-shard arena — least-recently-used first, with a `get` refreshing
+/// recency. The fixed workload below evicted k1 then k0 before the arena
+/// was ever striped; it must keep doing so.
 #[test]
 fn lru_reproduces_the_pre_shard_eviction_order() {
     let p = pool(400, 1);
     let bytes = p.memory_bytes();
     // Exactly three same-sized pools fit.
-    let store = PoolStore::memory_only_with(3 * bytes, 1, EvictionPolicyKind::Lru);
-    assert_eq!(store.policy_name(), "lru");
+    let store = PoolStore::memory_only(3 * bytes);
 
     store.insert(key(0), Arc::clone(&p)); // clock 1
     store.insert(key(1), Arc::clone(&p)); // clock 2
@@ -54,101 +52,22 @@ fn lru_reproduces_the_pre_shard_eviction_order() {
     assert_eq!(stats.entries, 3);
 }
 
-/// The LRU golden order must hold regardless of how the arena is built:
-/// the default construction and an explicit single-shard LRU store make
-/// identical victim choices for an identical workload.
+/// The default store's memory tier is one LRU arena, reported on the
+/// `oipa.stats/v4` wire form as a single `lru` shard.
 #[test]
 fn default_store_is_single_shard_lru() {
     let p = pool(400, 2);
     let bytes = p.memory_bytes();
-    let golden = PoolStore::memory_only_with(2 * bytes, 1, EvictionPolicyKind::Lru);
-    let default = PoolStore::memory_only(2 * bytes);
-    assert_eq!(default.shard_count(), golden.shard_count());
-    assert_eq!(default.policy_name(), golden.policy_name());
-    for store in [&golden, &default] {
-        store.insert(key(10), Arc::clone(&p));
-        store.insert(key(11), Arc::clone(&p));
-        store.insert(key(12), Arc::clone(&p)); // evicts k10 on both
-        assert!(store.get(&key(10)).is_none());
-        assert!(store.get(&key(11)).is_some());
-        assert!(store.get(&key(12)).is_some());
-    }
-}
+    let store = PoolStore::memory_only(2 * bytes);
+    store.insert(key(10), Arc::clone(&p));
+    store.insert(key(11), Arc::clone(&p));
+    store.insert(key(12), Arc::clone(&p)); // evicts k10
+    assert!(store.get(&key(10)).is_none());
+    assert!(store.get(&key(11)).is_some());
+    assert!(store.get(&key(12)).is_some());
 
-/// Property (seeded loop over many zipfian workloads — the proptest shim
-/// is macro-only, so the shrinking loop is hand-rolled): under an LFU
-/// policy, the most-frequently-used key is **never** evicted, whatever
-/// the interleaving of inserts and lookups the zipf draw produces.
-#[test]
-fn lfu_never_evicts_the_most_frequent_key_under_zipfian_load() {
-    const KEYS: u64 = 8;
-    const ROUNDS: usize = 160;
-
-    let p = pool(300, 7);
-    let bytes = p.memory_bytes();
-    for seed in 0..6u64 {
-        let store = PoolStore::memory_only_with(3 * bytes, 1, EvictionPolicyKind::Lfu);
-        assert_eq!(store.policy_name(), "lfu");
-        let hot = key(0);
-        store.insert(hot.clone(), Arc::clone(&p));
-
-        // Zipf-ish draw: key i with weight 1/(i+1), via a seeded LCG.
-        let weights: Vec<u64> = (0..KEYS).map(|i| 840 / (i + 1)).collect();
-        let total: u64 = weights.iter().sum();
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut draw = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mut x = (state >> 33) % total;
-            for (i, w) in weights.iter().enumerate() {
-                if x < *w {
-                    return i as u64;
-                }
-                x -= w;
-            }
-            unreachable!("weights cover the draw range")
-        };
-
-        for round in 0..ROUNDS {
-            let k = draw();
-            // The hot key is touched every round on top of its draws, so
-            // it is always the frequency maximum.
-            assert!(
-                store.get(&hot).is_some(),
-                "seed {seed} round {round}: LFU evicted the most-frequent key"
-            );
-            if k == 0 {
-                continue;
-            }
-            if store.get(&key(k)).is_none() {
-                store.insert(key(k), Arc::clone(&p));
-            }
-        }
-        assert!(
-            store.get(&hot).is_some(),
-            "seed {seed}: hot key lost by the end of the workload"
-        );
-        let stats = store.arena_stats();
-        assert!(stats.evictions > 0, "seed {seed}: workload never evicted");
-        assert_eq!(stats.lookups, stats.hits + stats.misses);
-    }
-}
-
-/// LFU ties (equal use counts) break toward the least-recently-used
-/// entry, so the policy degrades to LRU — not to arbitrary choice — on a
-/// uniform workload.
-#[test]
-fn lfu_breaks_frequency_ties_by_recency() {
-    let p = pool(300, 9);
-    let bytes = p.memory_bytes();
-    let store = PoolStore::memory_only_with(3 * bytes, 1, EvictionPolicyKind::Lfu);
-    // Three entries, all with uses == 1.
-    store.insert(key(20), Arc::clone(&p));
-    store.insert(key(21), Arc::clone(&p));
-    store.insert(key(22), Arc::clone(&p));
-    // All tied on frequency: the oldest stamp (k20) is the victim.
-    store.insert(key(23), Arc::clone(&p));
-    assert!(store.get(&key(20)).is_none(), "tie must break to LRU");
-    assert!(store.get(&key(21)).is_some());
+    let snapshot = StatsSnapshot::from(store.stats());
+    assert_eq!(snapshot.policy, "lru");
+    assert_eq!(snapshot.mem.shards, 1);
+    assert_eq!(snapshot.mem_shards, vec![snapshot.mem]);
 }

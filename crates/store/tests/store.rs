@@ -317,6 +317,35 @@ fn v1_directory_is_quarantined_and_its_keys_resample() {
     }
 }
 
+/// A directory whose manifest still records the memory tier's eviction
+/// policy (`"eviction": "lfu"`, as stores that let the CLI pick one
+/// wrote it) opens without repair and serves its pools from disk: the
+/// field is ignored, not treated as corruption.
+#[test]
+fn manifest_with_an_eviction_label_still_opens_and_serves() {
+    let dir = tmpdir("eviction-label");
+    let p = pool(400, 6);
+    let k = key(400, 6);
+    let store = PoolStore::open(config(&dir)).unwrap();
+    store.insert(k.clone(), Arc::clone(&p));
+    drop(store);
+    let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+    assert!(!manifest.contains("eviction"), "{manifest}");
+    let labelled = manifest.replacen("\"purges\"", "\"eviction\":\"lfu\",\"purges\"", 1);
+    assert_ne!(labelled, manifest, "the label went in");
+    std::fs::write(dir.join(MANIFEST_FILE), labelled).unwrap();
+
+    let reopened = PoolStore::open(config(&dir)).unwrap();
+    assert_eq!(
+        reopened.disk().unwrap().open_report(),
+        oipa_store::OpenReport::default(),
+        "nothing to repair"
+    );
+    let (back, tier) = reopened.get(&k).expect("pool still on disk");
+    assert_eq!(tier, PoolTier::Disk);
+    assert_same_pool(&back, &p, "served from a labelled manifest");
+}
+
 #[test]
 fn gc_quarantines_corruption_and_orphans() {
     let dir = tmpdir("gc");
