@@ -1270,6 +1270,60 @@ mod tests {
         );
     }
 
+    /// `store verify` rebuilds each entry's inverted index from its RR
+    /// sets: an entry whose stored index is wrong but whose checksum (and
+    /// the manifest's record of it) is valid decodes and would be
+    /// served, and only that rebuild catches it.
+    #[test]
+    fn store_verify_rebuilds_the_stored_index() {
+        let dir = tmp("idx.store");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (g, table, campaign) = oipa_sampler::testkit::fig1();
+        let pool = MrrPool::generate(&g, &table, &campaign, 300, 5);
+        let mut tier = DiskTier::open(&dir, u64::MAX).unwrap();
+        assert!(tier.put(&oipa_store::PoolKey::sampled("idx".into(), 300, 5), &pool));
+        let entry = tier.entries()[0].clone();
+        drop(tier);
+        assert!(run_words(&["store", "verify", "--dir", &dir])
+            .unwrap()
+            .contains("1 segment(s) verified clean"));
+
+        // Find piece 0's postings (binio v3) and lower one one-byte gap:
+        // its sample ids stay ascending and below θ, so the entry still
+        // decodes, but the index no longer matches the sets.
+        let region = std::path::Path::new(&dir).join(&entry.file);
+        let mut bytes = std::fs::read(&region).unwrap();
+        let (start, len) = (entry.offset as usize, entry.bytes as usize);
+        let data = &mut bytes[start..start + len];
+        let word =
+            |data: &[u8], at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
+        let n = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
+        let theta = word(data, 16) as usize;
+        let offsets = 28 + 4 * theta;
+        let total = word(data, offsets + 8 * theta) as usize;
+        let postings = offsets + 8 * (theta + 1) + 4 * total + 8 * (n + 1) + 8;
+        let gap = (postings..len - 4)
+            .find(|&at| (1..0x80).contains(&data[at]))
+            .expect("a one-byte gap above 0");
+        data[gap] -= 1;
+        let crc = oipa_graph::checksum::crc32(&data[..len - 4]);
+        data[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&region, &bytes).unwrap();
+        let manifest_path = std::path::Path::new(&dir).join(oipa_store::MANIFEST_FILE);
+        let manifest = std::fs::read_to_string(&manifest_path).unwrap();
+        let resealed = manifest.replacen(
+            &format!("\"crc\": {}", entry.crc),
+            &format!("\"crc\": {crc}"),
+            1,
+        );
+        assert_ne!(manifest, resealed, "the manifest records the entry's crc");
+        std::fs::write(&manifest_path, resealed).unwrap();
+
+        let err = run_words(&["store", "verify", "--dir", &dir]).unwrap_err();
+        assert!(err.to_string().contains("CORRUPT"), "{err}");
+        assert!(err.to_string().contains("inverted index"), "{err}");
+    }
+
     /// `--fault-schedule` (dev flag): a disk-full first segment write
     /// must not fail the solve — the answer comes back, the store just
     /// has nothing persisted. A bad spec is rejected loudly.

@@ -45,10 +45,7 @@ pub use opts::{CliError, ParsedArgs};
 pub fn main_with_args(args: Vec<String>) -> i32 {
     match opts::ParsedArgs::parse(args) {
         Ok(parsed) => match commands::run(&parsed) {
-            Ok(report) => {
-                println!("{report}");
-                0
-            }
+            Ok(report) => emit(&mut std::io::stdout().lock(), &report),
             Err(e) => {
                 eprintln!("error: {e}");
                 e.exit_code()
@@ -58,5 +55,48 @@ pub fn main_with_args(args: Vec<String>) -> i32 {
             eprintln!("error: {e}\n{}", opts::USAGE);
             2
         }
+    }
+}
+
+/// Prints a command's report and returns the exit code. A reader that
+/// closed the pipe early (`oipa-cli store ls | head -1`) already has what
+/// it wanted, so a broken pipe is a quiet success; any other write
+/// failure is an environment error (exit 1).
+fn emit(out: &mut impl std::io::Write, report: &str) -> i32 {
+    match writeln!(out, "{report}").and_then(|()| out.flush()) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("error: writing the report: {e}");
+            1
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::emit;
+    use std::io::{self, ErrorKind, Write};
+
+    /// A sink whose writes all fail with one error kind.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::from(self.0))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::from(self.0))
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_is_a_quiet_exit_and_other_write_errors_are_not() {
+        let mut out = Vec::new();
+        assert_eq!(emit(&mut out, "report"), 0);
+        assert_eq!(out, b"report\n");
+        assert_eq!(emit(&mut Failing(ErrorKind::BrokenPipe), "report"), 0);
+        assert_eq!(emit(&mut Failing(ErrorKind::StorageFull), "report"), 1);
     }
 }

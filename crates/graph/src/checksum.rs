@@ -2,7 +2,7 @@
 //!
 //! The persistent pool store writes multi-megabyte segment files that must
 //! survive partial writes, torn renames and bit rot; every checksummed
-//! format in the workspace (pool binio v2, store segments) shares this one
+//! format in the workspace (pool binio v3, store segments) shares this one
 //! implementation. The polynomial is the reflected IEEE polynomial
 //! `0xEDB88320`, the same CRC as zlib/gzip.
 //!

@@ -22,7 +22,7 @@
 //! * [`hashing`] — a small FxHash-style hasher for integer-keyed maps, so we
 //!   do not pull in an external hashing crate.
 //! * [`checksum`] — streaming CRC-32 shared by every checksummed binary
-//!   format in the workspace (pool binio v2, the persistent pool store).
+//!   format in the workspace (pool binio v3, the persistent pool store).
 //!
 //! Node ids are dense `u32` values in `0..n`; edge ids are dense `u32`
 //! values in `0..m` assigned in CSR order (sorted by source node).

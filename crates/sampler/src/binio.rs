@@ -8,49 +8,74 @@
 //! and the persistent pool store (`oipa-store`) keeps these files across
 //! process restarts.
 //!
-//! Format v2 (little-endian):
+//! Format v3 (little-endian):
 //!
 //! ```text
 //! [8]  magic "OIPAMRRP"
-//! [4]  version (u32; only v2 is read or written)
+//! [4]  version (u32; only v3 is read or written)
 //! [4]  n (u32)
 //! [8]  θ (u64)
 //! [4]  ℓ (u32)
 //! [θ·4]  roots (u32)
-//! ℓ × ( [ (θ+1)·8 ] offsets (u64), [Σ|R|·4] nodes (u32) )
+//! ℓ × piece:
+//!   [(θ+1)·8]  offsets (u64): set i is nodes[offsets[i]..offsets[i+1]]
+//!   [Σ|R|·4]   nodes (u32)
+//!   [(n+1)·8]  idx_offsets (u64): node v's postings are the
+//!              idx_offsets[v]..idx_offsets[v+1]-th sample ids
+//!   [8]        L, the byte length of the postings (u64)
+//!   [L]        postings: node by node in id order, each sample id
+//!              containing the node as the LEB128 varint of
+//!              id − prev − 1, where prev is the node's previous id
+//!              (−1 before its first)
 //! [4]  CRC-32 of everything above
 //! ```
 //!
-//! The trailing checksum covers the magic through the last node, so a
-//! single flipped bit anywhere — including inside values that pass the
-//! structural range checks — fails the load with
-//! [`PoolIoError::Format`]. Any other version is rejected, v1 (which
-//! carried no trailer) included.
+//! The trailing checksum covers the magic through the last postings
+//! byte, so a single flipped bit anywhere — including inside values that
+//! pass the structural range checks — fails the load with
+//! [`PoolIoError::Format`]. Any other version is rejected.
 //!
-//! [`read_pool`] decodes straight from the caller's slice (the store
-//! already holds each entry in one buffer), in three passes:
+//! Each piece stores its inverted index (node → the sample ids whose RR
+//! set holds it) rather than leaving the reader to rebuild it: every
+//! solve walks that index, and rebuilding it is a scatter over every
+//! node of every set, the bulk of a decode. Postings ascend within a
+//! node, so their gaps are small (in a pool shaped like `wirebench`'s
+//! `spill` pools — 300 nodes, 2 400 edges, θ = 20 000, ℓ = 3 — over
+//! 99.6% are below 128 and take one byte), and the index costs about a
+//! quarter of what raw `u32` postings would.
 //!
-//! 1. walk the header and every piece's length field against the slice
-//!    with checked arithmetic, so a truncated, overlong or corrupt input
-//!    is rejected before anything is allocated;
-//! 2. one CRC-32 over the payload (the carry-less-multiply kernel of
-//!    [`oipa_graph::checksum`] where the CPU has it);
-//! 3. bulk conversion of each array into an exactly sized `Vec`, then the
-//!    structural checks. The check that every node id is below `n` also
-//!    counts each node's occurrences, and the inverted index is laid out
-//!    from those counts, so the index rebuild does not count again. An
-//!    owned input buffer is freed before the indexes are built.
+//! Reading is two steps, [`RawPool::read`] and [`RawPool::decode`]:
+//!
+//! 1. `read` pulls each array from a [`Read`] source straight into its
+//!    final, exactly sized `Vec`, checking every length against the
+//!    encoding's byte count before anything is allocated, so a
+//!    truncated, overlong or corrupt input never allocates past its own
+//!    length. It does no other work: the pool store runs it under its
+//!    tier lock.
+//! 2. `decode` runs one CRC-32 over the arrays as read (the
+//!    carry-less-multiply kernel of [`oipa_graph::checksum`] where the
+//!    CPU has it), decodes the postings in one sequential pass, and runs
+//!    the structural checks: roots and node ids below `n`, offsets that
+//!    start at 0 and never decrease, index offsets that do the same and
+//!    end at the node count, sample ids below θ, and postings that end
+//!    exactly at their last byte.
+//!
+//! [`read_pool`] runs both over a byte slice, and the store runs them
+//! over its file seam: one decoder either way.
 
 use crate::mrr::MrrPool;
 use crate::rr::RrStore;
 use oipa_graph::binio::{write_u32, write_u64};
-use oipa_graph::checksum::{crc32, Crc32Writer};
-use std::io::{BufWriter, Write};
+use oipa_graph::checksum::{Crc32, Crc32Writer};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"OIPAMRRP";
-/// The only version read or written: v2 appends a CRC-32 trailer.
-const VERSION: u32 = 2;
+/// The only version read or written: v3 stores each piece's inverted
+/// index as delta-varint postings.
+const VERSION: u32 = 3;
+/// Magic, version, n, θ and ℓ.
+const HEADER_LEN: usize = 28;
 
 /// Serialization errors.
 #[derive(Debug)]
@@ -79,212 +104,500 @@ impl From<std::io::Error> for PoolIoError {
     }
 }
 
-/// Writes a pool to a writer. Returns the CRC-32 the v2 trailer records,
-/// so callers that index pool files (the store manifest) get the checksum
-/// without re-reading what they just wrote.
-pub fn write_pool<W: Write>(pool: &MrrPool, writer: W) -> Result<u32, PoolIoError> {
-    let mut w = Crc32Writer::new(BufWriter::new(writer));
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION)?;
-    write_u32(&mut w, pool.node_count() as u32)?;
-    write_u64(&mut w, pool.theta() as u64)?;
-    write_u32(&mut w, pool.ell() as u32)?;
-    write_u32_bulk(&mut w, pool.roots())?;
-    for j in 0..pool.ell() {
-        let store = pool.piece_store(j);
-        write_u64_bulk(&mut w, store.raw_offsets())?;
-        write_u32_bulk(&mut w, store.raw_nodes())?;
-    }
-    let crc = w.digest();
-    // The trailer itself is outside the digest (captured above).
-    write_u32(&mut w, crc)?;
-    w.flush()?;
-    Ok(crc)
+/// A [`PoolIoError::Format`] with `message`.
+fn invalid(message: impl Into<String>) -> PoolIoError {
+    PoolIoError::Format(message.into())
 }
 
-/// Reads a pool from its encoded bytes, rebuilding inverted indexes.
-/// Accepts format v2 only and verifies its CRC-32 trailer; `bytes` must
-/// be exactly one pool, trailer included.
+/// A pool ready to write in format v3: its postings are encoded, so the
+/// exact encoded length is known before a byte is written, and a caller
+/// can size its buffer once.
+pub struct PoolEncoding<'a> {
+    pool: &'a MrrPool,
+    /// Per piece, its encoded postings.
+    postings: Vec<Vec<u8>>,
+}
+
+impl<'a> PoolEncoding<'a> {
+    /// Encodes the postings of every piece of `pool`: one pass over its
+    /// inverted indexes.
+    pub fn new(pool: &'a MrrPool) -> PoolEncoding<'a> {
+        let postings = (0..pool.ell())
+            .map(|j| encode_postings(pool.piece_store(j)))
+            .collect();
+        PoolEncoding { pool, postings }
+    }
+
+    /// The exact number of bytes [`PoolEncoding::write`] produces.
+    pub fn encoded_len(&self) -> usize {
+        let (theta, n) = (self.pool.theta(), self.pool.node_count());
+        let pieces: usize = self
+            .postings
+            .iter()
+            .enumerate()
+            .map(|(j, postings)| {
+                let nodes = self.pool.piece_store(j).total_nodes();
+                (theta + 1) * 8 + nodes * 4 + (n + 1) * 8 + 8 + postings.len()
+            })
+            .sum();
+        HEADER_LEN + theta * 4 + pieces + 4
+    }
+
+    /// Writes the pool to a writer. Returns the CRC-32 the trailer
+    /// records, so callers that index pool files (the store manifest)
+    /// get the checksum without re-reading what they just wrote.
+    ///
+    /// Every array goes to the writer as one byte slice, so an
+    /// unbuffered sink sees a handful of large writes plus the small
+    /// header fields: pass a `BufWriter` when writing to a file.
+    pub fn write<W: Write>(&self, writer: W) -> Result<u32, PoolIoError> {
+        let pool = self.pool;
+        let mut w = Crc32Writer::new(writer);
+        w.write_all(MAGIC)?;
+        write_u32(&mut w, VERSION)?;
+        write_u32(&mut w, pool.node_count() as u32)?;
+        write_u64(&mut w, pool.theta() as u64)?;
+        write_u32(&mut w, pool.ell() as u32)?;
+        write_words(&mut w, pool.roots())?;
+        for (j, postings) in self.postings.iter().enumerate() {
+            let store = pool.piece_store(j);
+            write_words(&mut w, store.raw_offsets())?;
+            write_words(&mut w, store.raw_nodes())?;
+            write_words(&mut w, store.raw_idx_offsets())?;
+            write_u64(&mut w, postings.len() as u64)?;
+            w.write_all(postings)?;
+        }
+        let crc = w.digest();
+        // The trailer itself is outside the digest (captured above).
+        write_u32(&mut w, crc)?;
+        w.flush()?;
+        Ok(crc)
+    }
+}
+
+/// Writes a pool to a writer in format v3 (see [`PoolEncoding::write`]).
+/// Returns the CRC-32 the trailer records.
+pub fn write_pool<W: Write>(pool: &MrrPool, writer: W) -> Result<u32, PoolIoError> {
+    PoolEncoding::new(pool).write(writer)
+}
+
+/// Reads a pool from its encoded bytes. Accepts format v3 only and
+/// verifies its CRC-32 trailer; `bytes` must be exactly one pool,
+/// trailer included.
 ///
-/// Pass an owned buffer (a `Vec<u8>`) to have it freed once the arrays
-/// are decoded, before the indexes are built, so the encoded pool and
-/// its indexes are never resident together; a borrowed slice works the
+/// An owned buffer (a `Vec<u8>`) is freed once its arrays are read,
+/// before they are checksummed and decoded; a borrowed slice works the
 /// same way and stays with the caller.
 pub fn read_pool<B: AsRef<[u8]>>(bytes: B) -> Result<MrrPool, PoolIoError> {
     let encoded = bytes.as_ref();
-    let layout = Layout::walk(encoded)?;
-    let (payload, trailer) = encoded.split_at(encoded.len() - 4);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(PoolIoError::Format(format!(
-            "checksum mismatch: stored {stored:#010x}, computed {computed:#010x} \
-             (corrupt pool file)"
-        )));
-    }
-    let n = layout.n;
-    let roots = u32s(layout.roots);
-    if let Some(&root) = roots.iter().find(|&&root| root as usize >= n) {
-        return Err(PoolIoError::Format(format!("root {root} out of range")));
-    }
-    let pieces: Vec<(Vec<u64>, Vec<u32>)> = layout
-        .pieces
-        .iter()
-        .map(|&(offsets, nodes)| (u64s(offsets), u32s(nodes)))
-        .collect();
+    let raw = RawPool::read(encoded, encoded.len() as u64)?;
     drop(bytes);
-    let mut stores = Vec::with_capacity(pieces.len());
-    for (offsets, nodes) in pieces {
-        if offsets[0] != 0 {
-            return Err(PoolIoError::Format("offsets do not start at 0".into()));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(PoolIoError::Format("offsets not monotone".into()));
-        }
-        let store = RrStore::indexed_checked(offsets, nodes, n)
-            .map_err(|v| PoolIoError::Format(format!("node {v} out of range")))?;
-        stores.push(store);
-    }
-    MrrPool::from_parts(n as u32, roots, stores).map_err(PoolIoError::Format)
+    raw.decode()
 }
 
-/// Where each array of an encoded pool lies, found by walking the header
-/// and every piece's length field against the buffer before anything is
-/// allocated or checksummed.
-struct Layout<'a> {
+/// A pool's arrays as [`RawPool::read`] took them from its encoding:
+/// each in its final allocation, in the encoding's byte order, not yet
+/// checksummed or checked. [`RawPool::decode`] turns it into a pool.
+#[derive(Debug)]
+pub struct RawPool {
+    header: [u8; HEADER_LEN],
     n: usize,
-    roots: &'a [u8],
-    /// Per piece: its encoded offsets and nodes.
-    pieces: Vec<(&'a [u8], &'a [u8])>,
+    theta: u64,
+    roots: Vec<u32>,
+    pieces: Vec<RawPiece>,
+    trailer: [u8; 4],
 }
 
-impl<'a> Layout<'a> {
-    fn walk(bytes: &'a [u8]) -> Result<Layout<'a>, PoolIoError> {
-        let mut rest = bytes;
-        if take(&mut rest, 8)? != MAGIC {
-            return Err(PoolIoError::Format(
-                "bad magic: not an OIPA MRR pool".into(),
-            ));
+/// One piece's arrays as read (see [`RawPool`]).
+#[derive(Debug)]
+struct RawPiece {
+    offsets: Vec<u64>,
+    nodes: Vec<u32>,
+    idx_offsets: Vec<u64>,
+    postings_len: [u8; 8],
+    postings: Vec<u8>,
+}
+
+impl RawPool {
+    /// Reads one encoded pool of exactly `len` bytes from `src`, each
+    /// array straight into its final `Vec`. Every length field is
+    /// checked against the bytes `len` leaves before the array it sizes
+    /// is allocated or read, so nothing is allocated past `len`, and the
+    /// source is never read past it. Errors of `src` are
+    /// [`PoolIoError::Io`]; lengths that do not add up to `len`, a bad
+    /// magic and a version other than v3 are [`PoolIoError::Format`].
+    ///
+    /// Each array is one `read_exact` call on `src`.
+    pub fn read<R: Read>(src: R, len: u64) -> Result<RawPool, PoolIoError> {
+        let mut src = Bounded { src, left: len };
+        let mut header = [0u8; HEADER_LEN];
+        src.fill(&mut header)?;
+        if &header[..8] != MAGIC {
+            return Err(invalid("bad magic: not an OIPA MRR pool"));
         }
+        let field = |at: usize, width: usize| {
+            let mut le = [0u8; 8];
+            le[..width].copy_from_slice(&header[at..at + width]);
+            u64::from_le_bytes(le)
+        };
         // The version is checked before the checksum, so an unreadable
         // version reports itself rather than a mismatch.
-        let version = take_u32(&mut rest)?;
-        if version != VERSION {
-            return Err(PoolIoError::Format(format!(
+        let version = field(8, 4);
+        if version != u64::from(VERSION) {
+            return Err(invalid(format!(
                 "unsupported pool version {version} (readable: {VERSION})"
             )));
         }
-        let n = take_u32(&mut rest)? as usize;
-        let theta = usize::try_from(take_u64(&mut rest)?).map_err(|_| truncated())?;
-        let ell = take_u32(&mut rest)? as usize;
+        let (n, theta, ell) = (field(12, 4), field(16, 8), field(24, 4));
         if ell == 0 {
-            return Err(PoolIoError::Format(
-                "pool must have at least one piece".into(),
+            return Err(invalid("pool must have at least one piece"));
+        }
+        if theta > 1 << 32 {
+            return Err(invalid(format!("θ = {theta} overflows u32 sample ids")));
+        }
+        let roots = src.words(theta)?;
+        // Each piece reads at least its offsets, so a corrupt ℓ ends the
+        // loop at the end of the input, not after ℓ passes.
+        let mut pieces = Vec::new();
+        for _ in 0..ell {
+            let offsets: Vec<u64> = src.words(theta.checked_add(1).ok_or_else(truncated)?)?;
+            let total = offsets.last().map_or(0, |&last| u64::from_le(last));
+            let nodes = src.words(total)?;
+            let idx_offsets = src.words(n + 1)?;
+            let mut postings_len = [0u8; 8];
+            src.fill(&mut postings_len)?;
+            let postings = src.words(u64::from_le_bytes(postings_len))?;
+            pieces.push(RawPiece {
+                offsets,
+                nodes,
+                idx_offsets,
+                postings_len,
+                postings,
+            });
+        }
+        let mut trailer = [0u8; 4];
+        src.fill(&mut trailer)?;
+        if src.left > 0 {
+            return Err(invalid(format!(
+                "{} bytes after the checksum trailer",
+                src.left
+            )));
+        }
+        Ok(RawPool {
+            header,
+            n: n as usize,
+            theta,
+            roots,
+            pieces,
+            trailer,
+        })
+    }
+
+    /// The CRC-32 the encoding's trailer records.
+    pub fn stored_crc(&self) -> u32 {
+        u32::from_le_bytes(self.trailer)
+    }
+
+    /// Checks the CRC-32 over the arrays as read, decodes each piece's
+    /// postings and runs the structural checks (see the module docs).
+    /// Any failure is [`PoolIoError::Format`].
+    pub fn decode(mut self) -> Result<MrrPool, PoolIoError> {
+        let mut crc = Crc32::new();
+        crc.update(&self.header);
+        crc.update(bytes_of(&self.roots));
+        for piece in &self.pieces {
+            crc.update(bytes_of(&piece.offsets));
+            crc.update(bytes_of(&piece.nodes));
+            crc.update(bytes_of(&piece.idx_offsets));
+            crc.update(&piece.postings_len);
+            crc.update(&piece.postings);
+        }
+        let (stored, computed) = (self.stored_crc(), crc.finish());
+        if stored != computed {
+            return Err(invalid(format!(
+                "checksum mismatch: stored {stored:#010x}, computed {computed:#010x} \
+                 (corrupt pool file)"
+            )));
+        }
+        let n = self.n;
+        from_le(&mut self.roots);
+        // The largest id stands for all: `max` runs vectorized where a
+        // search for the first bad id would not.
+        if let Some(root) = self.roots.iter().max().filter(|&&v| v as usize >= n) {
+            return Err(invalid(format!("root {root} out of range")));
+        }
+        let mut stores = Vec::with_capacity(self.pieces.len());
+        for mut piece in self.pieces {
+            from_le(&mut piece.offsets);
+            from_le(&mut piece.nodes);
+            from_le(&mut piece.idx_offsets);
+            if piece.offsets[0] != 0 {
+                return Err(invalid("offsets do not start at 0"));
+            }
+            if piece.offsets.windows(2).any(|w| w[0] > w[1]) {
+                return Err(invalid("offsets not monotone"));
+            }
+            if let Some(v) = piece.nodes.iter().max().filter(|&&v| v as usize >= n) {
+                return Err(invalid(format!("node {v} out of range")));
+            }
+            let idx = &piece.idx_offsets;
+            if idx[0] != 0
+                || idx.windows(2).any(|w| w[0] > w[1])
+                || idx[n] != piece.nodes.len() as u64
+            {
+                return Err(invalid(
+                    "index offsets do not run from 0 up to the node count",
+                ));
+            }
+            let idx_samples = decode_postings(&piece.postings, idx, self.theta)?;
+            drop(piece.postings);
+            stores.push(RrStore::from_parts(
+                piece.offsets,
+                piece.nodes,
+                piece.idx_offsets,
+                idx_samples,
             ));
         }
-        let roots = take(&mut rest, theta.checked_mul(4).ok_or_else(truncated)?)?;
-        let offsets_len = theta
-            .checked_add(1)
-            .and_then(|len| len.checked_mul(8))
+        MrrPool::from_parts(n as u32, self.roots, stores).map_err(PoolIoError::Format)
+    }
+}
+
+/// A source that holds exactly `left` more bytes of one encoded pool.
+struct Bounded<R> {
+    src: R,
+    left: u64,
+}
+
+impl<R: Read> Bounded<R> {
+    /// Fills `buf` from the source, if the encoding has that many bytes
+    /// left.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), PoolIoError> {
+        self.take(buf.len() as u64)?;
+        self.src.read_exact(buf)?;
+        Ok(())
+    }
+
+    /// Reads `count` words into a new `Vec`, allocated only once the
+    /// encoding is known to hold them.
+    fn words<T: Word>(&mut self, count: u64) -> Result<Vec<T>, PoolIoError> {
+        let bytes = count
+            .checked_mul(std::mem::size_of::<T>() as u64)
             .ok_or_else(truncated)?;
-        // Each piece takes at least its offsets, so a corrupt ℓ cannot
-        // reserve more than the buffer could hold.
-        let mut pieces = Vec::with_capacity(ell.min(rest.len() / offsets_len));
-        for _ in 0..ell {
-            let offsets = take(&mut rest, offsets_len)?;
-            let total = u64::from_le_bytes(
-                offsets[offsets_len - 8..]
-                    .try_into()
-                    .expect("8-byte offset"),
-            );
-            let nodes_len = usize::try_from(total)
-                .ok()
-                .and_then(|total| total.checked_mul(4))
-                .ok_or_else(truncated)?;
-            pieces.push((offsets, take(&mut rest, nodes_len)?));
-        }
-        match rest.len() {
-            4 => Ok(Layout { n, roots, pieces }),
-            0..=3 => Err(truncated()),
-            extra => Err(PoolIoError::Format(format!(
-                "{} bytes after the checksum trailer",
-                extra - 4
-            ))),
-        }
+        self.take(bytes)?;
+        let mut words = vec![T::default(); usize::try_from(count).map_err(|_| truncated())?];
+        self.src.read_exact(bytes_of_mut(&mut words))?;
+        Ok(words)
+    }
+
+    fn take(&mut self, bytes: u64) -> Result<(), PoolIoError> {
+        self.left = self.left.checked_sub(bytes).ok_or_else(truncated)?;
+        Ok(())
     }
 }
 
 fn truncated() -> PoolIoError {
-    PoolIoError::Format("unexpected end of pool (truncated?)".into())
+    invalid("unexpected end of pool (truncated?)")
 }
 
-/// Splits the next `len` bytes off `rest`.
-fn take<'a>(rest: &mut &'a [u8], len: usize) -> Result<&'a [u8], PoolIoError> {
-    let (head, tail) = rest.split_at_checked(len).ok_or_else(truncated)?;
-    *rest = tail;
-    Ok(head)
+/// Decodes one piece's postings (see the module docs) given its checked
+/// index offsets: every id must be below θ, and the stream must end
+/// exactly at the last posting.
+fn decode_postings(
+    postings: &[u8],
+    idx_offsets: &[u64],
+    theta: u64,
+) -> Result<Vec<u32>, PoolIoError> {
+    let total = idx_offsets[idx_offsets.len() - 1];
+    // Every posting takes at least one byte, which also bounds the
+    // allocation by the bytes read.
+    if total > postings.len() as u64 {
+        return Err(invalid(format!(
+            "{total} postings cannot fit in {} bytes",
+            postings.len()
+        )));
+    }
+    let mut ids = Vec::with_capacity(total as usize);
+    let mut pos = 0;
+    for w in idx_offsets.windows(2) {
+        let mut left = w[1] - w[0];
+        // One past the node's previous id.
+        let mut next = 0u64;
+        while left > 0 {
+            // The common case: eight one-byte gaps in a row.
+            if left >= 8 {
+                if let Some(chunk) = postings.get(pos..pos + 8) {
+                    let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+                    if word & 0x8080_8080_8080_8080 == 0 {
+                        ids.extend(chunk.iter().map(|&gap| {
+                            let id = next + u64::from(gap);
+                            next = id + 1;
+                            id as u32
+                        }));
+                        pos += 8;
+                        left -= 8;
+                        continue;
+                    }
+                }
+            }
+            let id = next + take_varint(postings, &mut pos)?;
+            ids.push(id as u32);
+            next = id + 1;
+            left -= 1;
+        }
+        // Ids ascend within a node, so its last is its largest: a node
+        // whose last id is below θ (and so within `u32`, as θ ≤ 2³²) has
+        // every id below θ, none truncated by the casts above.
+        if next > theta {
+            return Err(invalid(format!(
+                "sample id {} is not below θ = {theta}",
+                next - 1
+            )));
+        }
+    }
+    if pos != postings.len() {
+        return Err(invalid(format!(
+            "{} postings bytes after the last sample id",
+            postings.len() - pos
+        )));
+    }
+    Ok(ids)
 }
 
-fn take_u32(rest: &mut &[u8]) -> Result<u32, PoolIoError> {
-    Ok(u32::from_le_bytes(
-        take(rest, 4)?.try_into().expect("4 bytes"),
-    ))
+/// Decodes the LEB128 varint of at most five bytes (enough for any
+/// `u32`) at `postings[*pos..]`, advancing `pos` past it.
+#[inline]
+fn take_varint(postings: &[u8], pos: &mut usize) -> Result<u64, PoolIoError> {
+    let rest = &postings[*pos..];
+    let mut value = 0u64;
+    for (i, &byte) in rest.iter().take(5).enumerate() {
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte < 0x80 {
+            *pos += i + 1;
+            return Ok(value);
+        }
+    }
+    Err(invalid(if rest.len() < 5 {
+        "postings end inside a varint"
+    } else {
+        "varint longer than five bytes in the postings"
+    }))
 }
 
-fn take_u64(rest: &mut &[u8]) -> Result<u64, PoolIoError> {
-    Ok(u64::from_le_bytes(
-        take(rest, 8)?.try_into().expect("8 bytes"),
-    ))
-}
-
-fn u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect()
-}
-
-fn u64s(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
+/// Encodes a piece's postings (see the module docs): node by node, each
+/// sample id minus the node's previous id minus one (the id itself for a
+/// node's first), as a LEB128 varint.
+fn encode_postings(store: &RrStore) -> Vec<u8> {
+    let ids = store.raw_idx_samples();
+    // One byte per posting is the common case and the minimum.
+    let mut out = Vec::with_capacity(ids.len());
+    for w in store.raw_idx_offsets().windows(2) {
+        let mut next = 0u32;
+        for &id in &ids[w[0] as usize..w[1] as usize] {
+            let mut gap = id - next;
+            next = id + 1;
+            while gap >= 0x80 {
+                out.push(gap as u8 | 0x80);
+                gap >>= 7;
+            }
+            out.push(gap as u8);
+        }
+    }
+    out
 }
 
 /// Writes a pool to a file, returning the payload CRC-32.
 pub fn write_pool_file<P: AsRef<Path>>(pool: &MrrPool, path: P) -> Result<u32, PoolIoError> {
-    write_pool(pool, std::fs::File::create(path)?)
+    write_pool(pool, BufWriter::new(std::fs::File::create(path)?))
 }
 
-/// Reads a pool from a file.
+/// Reads a pool from a file, each array straight from the file into its
+/// final `Vec`.
 pub fn read_pool_file<P: AsRef<Path>>(path: P) -> Result<MrrPool, PoolIoError> {
-    read_pool(std::fs::read(path)?)
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    RawPool::read(file, len)?.decode()
 }
 
-/// 64 KiB staging buffer for bulk value writes: large enough to amortize
-/// per-call overhead and to take the CRC kernel's path.
+/// Block size for staging words on big-endian targets: large enough to
+/// amortize per-call overhead and to take the CRC kernel's path.
 const BULK: usize = 64 * 1024;
 
-fn write_u32_bulk<W: Write>(w: &mut W, vs: &[u32]) -> std::io::Result<()> {
-    let mut buf = [0u8; BULK];
-    for chunk in vs.chunks(BULK / 4) {
-        let bytes = &mut buf[..chunk.len() * 4];
-        for (slot, &v) in bytes.chunks_exact_mut(4).zip(chunk) {
-            slot.copy_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(bytes)?;
-    }
-    Ok(())
+/// The element types of pool arrays: `u8`, `u32` and `u64`. Each is
+/// plain data (no padding, every bit pattern a value), which is what
+/// makes the byte views below sound. Private, so no other type can
+/// implement it.
+trait Word: Copy + Default {
+    /// This value converted between native and little-endian order (the
+    /// conversion is its own inverse).
+    fn swap_le(self) -> Self;
 }
 
-fn write_u64_bulk<W: Write>(w: &mut W, vs: &[u64]) -> std::io::Result<()> {
-    let mut buf = [0u8; BULK];
-    for chunk in vs.chunks(BULK / 8) {
-        let bytes = &mut buf[..chunk.len() * 8];
-        for (slot, &v) in bytes.chunks_exact_mut(8).zip(chunk) {
-            slot.copy_from_slice(&v.to_le_bytes());
+impl Word for u8 {
+    fn swap_le(self) -> Self {
+        self
+    }
+}
+
+impl Word for u32 {
+    fn swap_le(self) -> Self {
+        u32::from_le(self)
+    }
+}
+
+impl Word for u64 {
+    fn swap_le(self) -> Self {
+        u64::from_le(self)
+    }
+}
+
+/// The bytes of `words` in memory order: on a little-endian target,
+/// their encoding.
+fn bytes_of<T: Word>(words: &[T]) -> &[u8] {
+    // SAFETY: `T` is `u8`, `u32` or `u64` (see `Word`): it has no padding,
+    // so all `size_of_val(words)` bytes behind the pointer are
+    // initialized, and `u8` needs no alignment. The view covers exactly
+    // the slice's memory and borrows `words` for as long as it lives.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), std::mem::size_of_val(words)) }
+}
+
+/// The bytes of `words` in memory order, writable: filling them with a
+/// little-endian encoding and then running [`from_le`] yields the values
+/// on any target.
+fn bytes_of_mut<T: Word>(words: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `bytes_of`; in addition, every bit pattern is a
+    // valid `T`, so whatever is written through the view leaves each
+    // word a valid value, and the exclusive borrow of `words` keeps any
+    // other access out while the view lives.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            words.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(words),
+        )
+    }
+}
+
+/// Converts words read as little-endian bytes to native order: nothing
+/// to do on a little-endian target.
+fn from_le<T: Word>(words: &mut [T]) {
+    if cfg!(target_endian = "big") {
+        for w in words {
+            *w = w.swap_le();
         }
-        w.write_all(bytes)?;
+    }
+}
+
+/// Writes words as little-endian bytes: one slice on a little-endian
+/// target, staged through `BULK`-byte blocks of converted copies on a
+/// big-endian one.
+fn write_words<W: Write, T: Word>(w: &mut W, words: &[T]) -> std::io::Result<()> {
+    if cfg!(target_endian = "little") {
+        return w.write_all(bytes_of(words));
+    }
+    let mut staged = Vec::with_capacity(words.len().min(BULK));
+    for chunk in words.chunks(BULK / std::mem::size_of::<T>()) {
+        staged.clear();
+        staged.extend(chunk.iter().map(|v| v.swap_le()));
+        w.write_all(bytes_of(&staged))?;
     }
     Ok(())
 }
@@ -293,6 +606,7 @@ fn write_u64_bulk<W: Write>(w: &mut W, vs: &[u64]) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::testkit::fig1;
+    use oipa_graph::checksum::crc32;
 
     #[test]
     fn roundtrip_preserves_everything() {
@@ -442,16 +756,18 @@ mod tests {
     }
 
     /// The encoding is fixed: these lengths and CRCs are what the
-    /// format-v2 writer has always produced for these pools, and any
-    /// change to the bytes `write_pool` produces moves them.
+    /// format-v3 writer produces for these pools, and any change to the
+    /// bytes `write_pool` produces moves them. The fingerprints pin the
+    /// pools themselves: they are the ones every earlier format encoded.
     #[test]
     fn write_pool_output_is_pinned() {
         let (g, table, campaign) = fig1();
-        for (theta, seed, len, expected) in [
-            (300, 5, 11_244, 0x2A4B_5820),
-            (5_000, 9, 183_624, 0xF4D9_362C),
+        for (theta, seed, fingerprint, len, expected) in [
+            (300, 5, 0xDEC5_4964_7931_4F86, 12_655, 0x22ED_D105),
+            (5_000, 9, 0x1F62_4EA1_4A04_6CBA, 204_630, 0x81F9_25E9),
         ] {
             let pool = MrrPool::generate(&g, &table, &campaign, theta, seed);
+            assert_eq!(pool.fingerprint(), fingerprint, "θ {theta}");
             let mut buf = Vec::new();
             let crc = write_pool(&pool, &mut buf).unwrap();
             assert_eq!(buf.len(), len, "θ {theta}");
@@ -483,15 +799,189 @@ mod tests {
         let pool = MrrPool::generate(&g, &table, &campaign, 100, 9);
         let mut buf = Vec::new();
         write_pool(&pool, &mut buf).unwrap();
-        // Overwrite a node near the end (before the trailer) with an
-        // out-of-range id: the checksum catches it…
-        let len = buf.len();
-        buf[len - 8..len - 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // Overwrite piece 0's last node with an out-of-range id: the
+        // checksum catches it…
+        let at = spans(&buf)[0].idx - 4;
+        buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(read_pool(&buf[..]), Err(PoolIoError::Format(_))));
         // …and with the trailer recomputed over it, the range check does.
-        let crc = oipa_graph::checksum::crc32(&buf[..len - 4]);
-        buf[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut buf);
         let err = read_pool(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    /// Where one piece's arrays start in an encoded pool.
+    struct Spans {
+        idx: usize,
+        postings_len: usize,
+        postings: usize,
+        end: usize,
+    }
+
+    /// Walks an encoded pool's length fields to find every piece.
+    fn spans(buf: &[u8]) -> Vec<Spans> {
+        let u32_at = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().unwrap()) as usize;
+        let u64_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) as usize;
+        let (n, theta, ell) = (u32_at(12), u64_at(16), u32_at(24));
+        let mut at = HEADER_LEN + 4 * theta;
+        (0..ell)
+            .map(|_| {
+                let total = u64_at(at + 8 * theta);
+                let idx = at + 8 * (theta + 1) + 4 * total;
+                let postings_len = idx + 8 * (n + 1);
+                let postings = postings_len + 8;
+                let end = postings + u64_at(postings_len);
+                at = end;
+                Spans {
+                    idx,
+                    postings_len,
+                    postings,
+                    end,
+                }
+            })
+            .collect()
+    }
+
+    /// Rewrites the trailer to the CRC-32 of everything before it.
+    fn reseal(buf: &mut [u8]) {
+        let payload = buf.len() - 4;
+        let crc = crc32(&buf[..payload]);
+        buf[payload..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// A small encoded pool and its piece spans.
+    fn encoded(theta: usize) -> (Vec<u8>, Vec<Spans>) {
+        let (g, table, campaign) = fig1();
+        let pool = MrrPool::generate(&g, &table, &campaign, theta, 9);
+        let mut buf = Vec::new();
+        write_pool(&pool, &mut buf).unwrap();
+        let spans = spans(&buf);
+        (buf, spans)
+    }
+
+    /// Sets piece 0's postings byte length to `len`.
+    fn set_postings_len(buf: &mut [u8], spans: &[Spans], len: usize) {
+        let at = spans[0].postings_len;
+        buf[at..at + 8].copy_from_slice(&(len as u64).to_le_bytes());
+    }
+
+    /// The damaged index cases below carry a valid checksum, so only the
+    /// decoder's own checks stand between them and a loaded pool: each
+    /// must be a `Format` error naming what is wrong, never a panic and
+    /// never an allocation the entry's length does not cover.
+    fn format_error(buf: &[u8], expect: &str) {
+        match read_pool(buf) {
+            Err(PoolIoError::Format(m)) => assert!(m.contains(expect), "{m}"),
+            Err(PoolIoError::Io(e)) => panic!("Io instead of Format: {e}"),
+            Ok(_) => panic!("loaded a pool with a damaged index"),
+        }
+    }
+
+    #[test]
+    fn sample_id_past_theta_is_a_format_error() {
+        let (mut buf, spans) = encoded(50);
+        // A one-byte gap of 127 puts the id past θ = 50.
+        buf[spans[0].postings] = 0x7f;
+        reseal(&mut buf);
+        format_error(&buf, "not below θ");
+    }
+
+    #[test]
+    fn short_and_long_postings_streams_are_format_errors() {
+        let (buf, spans) = encoded(50);
+        let (start, end) = (spans[0].postings, spans[0].end);
+        // One byte short: fewer bytes than postings.
+        let mut short = buf.clone();
+        short.remove(end - 1);
+        set_postings_len(&mut short, &spans, end - start - 1);
+        reseal(&mut short);
+        format_error(&short, "cannot fit");
+        // Ending inside a varint: the last byte keeps going.
+        let mut cut = buf.clone();
+        cut[end - 1] |= 0x80;
+        reseal(&mut cut);
+        format_error(&cut, "end inside a varint");
+        // One byte long: a stray byte after the last posting.
+        let mut long = buf.clone();
+        long.insert(end, 0);
+        set_postings_len(&mut long, &spans, end - start + 1);
+        reseal(&mut long);
+        format_error(&long, "after the last sample id");
+    }
+
+    #[test]
+    fn over_long_varint_is_a_format_error() {
+        let (mut buf, spans) = encoded(50);
+        let (start, end) = (spans[0].postings, spans[0].end);
+        // Five continuation bytes before the first gap's last byte.
+        for _ in 0..5 {
+            buf.insert(start, 0x80);
+        }
+        set_postings_len(&mut buf, &spans, end - start + 5);
+        reseal(&mut buf);
+        format_error(&buf, "longer than five bytes");
+    }
+
+    #[test]
+    fn inconsistent_index_offsets_are_format_errors() {
+        let (buf, spans) = encoded(50);
+        let idx = spans[0].idx;
+        let at = |v: usize| idx + 8 * v;
+        let get =
+            |buf: &[u8], v: usize| u64::from_le_bytes(buf[at(v)..at(v) + 8].try_into().unwrap());
+        let n = 5;
+        let cases: [(usize, u64); 3] = [
+            // Not starting at 0.
+            (0, 1),
+            // Decreasing: node 1's postings end before they begin.
+            (2, get(&buf, 1).wrapping_sub(1)),
+            // Not ending at the node count.
+            (n, get(&buf, n) + 1),
+        ];
+        for (v, value) in cases {
+            let mut bad = buf.clone();
+            bad[at(v)..at(v) + 8].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bad);
+            format_error(&bad, "index offsets");
+        }
+    }
+
+    #[test]
+    fn postings_length_past_the_entry_is_a_format_error() {
+        let (buf, spans) = encoded(50);
+        for len in [buf.len(), usize::MAX] {
+            let mut bad = buf.clone();
+            set_postings_len(&mut bad, &spans, len);
+            reseal(&mut bad);
+            format_error(&bad, "unexpected end");
+        }
+    }
+
+    /// Gaps of every varint width, 1 to 5 bytes, and a node with no
+    /// postings: the encoder's length, its bytes and the decoder agree.
+    #[test]
+    fn postings_of_every_varint_width_round_trip() {
+        let node_gaps: [&[u32]; 4] = [
+            &[0, 127, 128, 1 << 14, 1 << 21, 1 << 28],
+            &[],
+            &[5, 1 << 14],
+            &[u32::MAX - 1],
+        ];
+        let (mut ids, mut idx_offsets) = (Vec::new(), vec![0u64]);
+        for gaps in node_gaps {
+            let mut next = 0u32;
+            for &gap in gaps {
+                ids.push(next + gap);
+                next += gap + 1;
+            }
+            idx_offsets.push(ids.len() as u64);
+        }
+        let store = RrStore::from_parts(vec![0], Vec::new(), idx_offsets.clone(), ids.clone());
+        let bytes = encode_postings(&store);
+        // Gaps of widths 1, 1, 2, 3, 4, 5 | none | 1, 3 | 5.
+        assert_eq!(bytes.len(), 1 + 1 + 2 + 3 + 4 + 5 + 1 + 3 + 5);
+        let theta = u64::from(u32::MAX);
+        assert_eq!(decode_postings(&bytes, &idx_offsets, theta).unwrap(), ids);
+        assert!(decode_postings(&bytes, &idx_offsets, theta - 1).is_err());
     }
 }

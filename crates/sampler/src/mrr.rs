@@ -302,6 +302,20 @@ impl MrrPool {
         h.finish()
     }
 
+    /// Rebuilds every piece's inverted index from its RR sets and
+    /// compares it with the stored one. A decoded pool carries the index
+    /// its writer stored, which the checksum vouches for but nothing
+    /// else re-derives; this is the deep check `oipa-cli store verify`
+    /// runs. Names the first piece whose index differs.
+    pub fn check_index(&self) -> Result<(), String> {
+        match (0..self.ell()).find(|&j| !self.stores[j].index_matches_sets(self.node_count())) {
+            Some(j) => Err(format!(
+                "piece {j}: the stored inverted index is not the one its RR sets rebuild"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Walk ids (sorted ascending) whose RR set for `piece` contains any
     /// dirty target — the live/dead classification of surgical delta
     /// invalidation.

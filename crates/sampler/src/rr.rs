@@ -64,33 +64,15 @@ impl RrStore {
             + self.idx_samples.len() * std::mem::size_of::<u32>()
     }
 
+    /// Lays out the inverted index from the sets: a count of each node's
+    /// occurrences and a prefix sum give each node's postings range, then
+    /// one pass over the sets in id order fills them, so every node's
+    /// postings ascend.
     pub(crate) fn build_index(&mut self, n: usize) {
-        let counts = node_counts(&self.nodes, n).expect("every node id is below n");
-        self.index_from_counts(counts);
-    }
-
-    /// Builds an indexed store from decoded CSR arrays whose offsets are
-    /// already checked (starting at 0, monotone, ending at
-    /// `nodes.len()`), or returns the first node id that is not below
-    /// `n`. The range check counts every node as it goes, and the index
-    /// is built from those counts: the same postings as
-    /// [`RrStore::build_index`], without counting twice.
-    pub(crate) fn indexed_checked(
-        offsets: Vec<u64>,
-        nodes: Vec<NodeId>,
-        n: usize,
-    ) -> Result<RrStore, NodeId> {
-        let counts = node_counts(&nodes, n)?;
-        let mut store = RrStore::from_raw(offsets, nodes);
-        store.index_from_counts(counts);
-        Ok(store)
-    }
-
-    /// Lays out the inverted index from `counts[v + 1]` = the number of
-    /// sets containing `v`: a prefix sum gives each node's postings
-    /// range, then one pass over the sets in id order fills them, so
-    /// every node's postings ascend.
-    fn index_from_counts(&mut self, mut counts: Vec<u64>) {
+        let mut counts = vec![0u64; n + 1];
+        for &v in &self.nodes {
+            counts[v as usize + 1] += 1;
+        }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
@@ -108,6 +90,15 @@ impl RrStore {
         self.idx_samples = idx_samples;
     }
 
+    /// Whether the stored inverted index is exactly the one
+    /// [`RrStore::build_index`] lays out from the sets over `n` nodes.
+    /// Every node id must be below `n`.
+    pub(crate) fn index_matches_sets(&self, n: usize) -> bool {
+        let mut rebuilt = RrStore::from_raw(self.offsets.clone(), self.nodes.clone());
+        rebuilt.build_index(n);
+        rebuilt.idx_offsets == self.idx_offsets && rebuilt.idx_samples == self.idx_samples
+    }
+
     /// Raw CSR offsets (for serialization).
     pub(crate) fn raw_offsets(&self) -> &[u64] {
         &self.offsets
@@ -116,6 +107,32 @@ impl RrStore {
     /// Raw node array (for serialization).
     pub(crate) fn raw_nodes(&self) -> &[NodeId] {
         &self.nodes
+    }
+
+    /// Raw inverted-index offsets (for serialization).
+    pub(crate) fn raw_idx_offsets(&self) -> &[u64] {
+        &self.idx_offsets
+    }
+
+    /// Raw inverted-index postings (for serialization).
+    pub(crate) fn raw_idx_samples(&self) -> &[u32] {
+        &self.idx_samples
+    }
+
+    /// Builds an indexed store from decoded arrays whose shapes the
+    /// decoder has checked.
+    pub(crate) fn from_parts(
+        offsets: Vec<u64>,
+        nodes: Vec<NodeId>,
+        idx_offsets: Vec<u64>,
+        idx_samples: Vec<u32>,
+    ) -> RrStore {
+        RrStore {
+            offsets,
+            nodes,
+            idx_offsets,
+            idx_samples,
+        }
     }
 
     /// Builds a store from raw CSR arrays without an inverted index (used
@@ -286,16 +303,6 @@ impl RrStore {
         out.build_index(n);
         out
     }
-}
-
-/// `counts[v + 1]` = occurrences of `v` in `nodes` (`counts[0]` = 0), or
-/// the first node id that is not below `n`.
-fn node_counts(nodes: &[NodeId], n: usize) -> Result<Vec<u64>, NodeId> {
-    let mut counts = vec![0u64; n + 1];
-    for &v in nodes {
-        *counts.get_mut(v as usize + 1).ok_or(v)? += 1;
-    }
-    Ok(counts)
 }
 
 /// The live in-edges of one homogeneous influence graph: for each node
@@ -846,26 +853,6 @@ mod tests {
                 assert_eq!(member, via_index.contains(&(i as u32)), "node {v} set {i}");
             }
         }
-    }
-
-    /// Decoding builds the index from the range check's counts; its
-    /// postings must be bitwise the ones `build_index` lays out.
-    #[test]
-    fn indexed_checked_matches_build_index() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let g = oipa_graph::generators::erdos_renyi_gnm(&mut rng, 50, 300);
-        let p = MaterializedProbs(vec![0.3; g.edge_count()]);
-        let built = RrPool::generate(&g, &p, 2000, 3).store().clone();
-        let (offsets, nodes) = (built.offsets.clone(), built.nodes.clone());
-        let checked = RrStore::indexed_checked(offsets.clone(), nodes.clone(), 50).unwrap();
-        assert_eq!(checked.idx_offsets, built.idx_offsets);
-        assert_eq!(checked.idx_samples, built.idx_samples);
-        // A node id at or past n is named, not indexed.
-        let biggest = *nodes.iter().max().unwrap();
-        assert_eq!(
-            RrStore::indexed_checked(offsets, nodes, biggest as usize).unwrap_err(),
-            biggest
-        );
     }
 
     #[test]

@@ -62,21 +62,38 @@ proptest! {
         }
     }
 
-    /// Pool serialization round-trips for arbitrary instances.
+    /// Pool serialization round-trips for arbitrary instances: the
+    /// decoded pool is the cold one, stored index included, at θ = 1
+    /// (most nodes with empty postings) up to θ = 20 000 (gaps that need
+    /// two-byte varints; on 30 000 nodes, first ids that need three).
     #[test]
-    fn pool_binio_roundtrip(seed in 0u64..2_000) {
+    fn pool_binio_roundtrip(seed in 0u64..2_000, pick in 0usize..5) {
+        let (n, m, theta) = [
+            (20, 70, 1),
+            (20, 70, 2),
+            (20, 70, 300),
+            (20, 70, 20_000),
+            (30_000, 60_000, 20_000),
+        ][pick];
         let mut rng = StdRng::seed_from_u64(seed);
-        let (g, table, campaign) = testkit::small_random_instance(&mut rng, 20, 70, 3, 2);
-        let pool = MrrPool::generate(&g, &table, &campaign, 300, seed);
+        let (g, table, campaign) = testkit::small_random_instance(&mut rng, n, m, 3, 2);
+        let pool = MrrPool::generate(&g, &table, &campaign, theta, seed);
         let mut buf = Vec::new();
         oipa_sampler::binio::write_pool(&pool, &mut buf).unwrap();
+        let encoding = oipa_sampler::binio::PoolEncoding::new(&pool);
+        prop_assert_eq!(buf.len(), encoding.encoded_len());
         let back = oipa_sampler::binio::read_pool(&buf[..]).unwrap();
+        prop_assert_eq!(back.fingerprint(), pool.fingerprint());
         prop_assert_eq!(back.roots(), pool.roots());
         for j in 0..pool.ell() {
             for i in 0..pool.theta() {
                 prop_assert_eq!(back.rr_set(j, i), pool.rr_set(j, i));
             }
+            for v in 0..pool.node_count() as u32 {
+                prop_assert_eq!(back.samples_containing(j, v), pool.samples_containing(j, v));
+            }
         }
+        prop_assert!(back.check_index().is_ok());
     }
 }
 

@@ -407,6 +407,13 @@ fn register_store_collector(registry: &Registry, service: SharedService) {
             );
             bridge(
                 w,
+                "oipa_store_disk_read_bytes_total",
+                Counter,
+                "Bytes disk lookups read from region files.",
+                disk.read_bytes,
+            );
+            bridge(
+                w,
                 "oipa_store_disk_misses_total",
                 Counter,
                 "Disk lookups that found no usable entry.",

@@ -264,6 +264,13 @@ fn stats_and_metrics_report_the_same_disk_counters() {
     let metrics = scrape(addr);
     assert_eq!(metrics.get("oipa_store_disk_hits_total"), disk.hits as f64);
     assert_eq!(disk.hits, 1);
+    // The one entry is the tier's only indexed bytes, and the hit read
+    // exactly those.
+    assert_eq!(disk.read_bytes, disk.bytes);
+    assert_eq!(
+        metrics.get("oipa_store_disk_read_bytes_total"),
+        disk.read_bytes as f64
+    );
     assert_eq!(
         metrics.get("oipa_store_disk_lock_wait_seconds_total"),
         disk.lock_wait_ns as f64 / 1e9
@@ -275,6 +282,17 @@ fn stats_and_metrics_report_the_same_disk_counters() {
         disk.decode_ns as f64 / 1e9
     );
     assert_eq!(stats.server.stats_schema, "oipa.stats/v4");
+
+    // Every further disk hit adds exactly the entry's bytes.
+    for hits in 2..=3u64 {
+        service.write().unwrap().clear_arena();
+        let again = solve_over_wire(addr, &req);
+        assert_eq!(again.pool_tier.as_deref(), Some("disk"));
+        assert_eq!(
+            scrape(addr).get("oipa_store_disk_read_bytes_total"),
+            (hits * disk.bytes) as f64
+        );
+    }
 
     handle.shutdown();
 }

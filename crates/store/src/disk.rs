@@ -8,9 +8,9 @@
 //!
 //! ```text
 //! store/
-//! ├── index.json            manifest v3: epoch lineage, regions + key →
+//! ├── index.json            manifest v4: epoch lineage, regions + key →
 //! │                         (region, offset, bytes, crc, recency, epoch)
-//! ├── region-00000001.dat   pool binio v2 payloads, appended back to back
+//! ├── region-00000001.dat   pool binio v3 payloads, appended back to back
 //! │     ┌─────────┬──────────────┬────────┐
 //! │     │ pool #0 │    pool #1   │ pool#2 │ … ← committed watermark
 //! │     └─────────┴──────────────┴────────┘
@@ -19,15 +19,18 @@
 //!     └── region-…dat       recovery and `gc` (never deleted silently)
 //! ```
 //!
-//! Every entry is one binio v2 pool (CRC-32 trailer) at a manifest-
+//! Every entry is one binio v3 pool (CRC-32 trailer) at a manifest-
 //! recorded `(region, offset, bytes)`. Writes **append** to the newest
 //! region through the [`crate::io::StoreIo`] seam, sync, and then commit
 //! by atomically rewriting the manifest — the manifest rename is the ack
 //! point, so a torn append leaves at worst unindexed bytes past the
 //! region's committed watermark, which the next open truncates away.
-//! Reads slice one entry out of its region and verify the CRC trailer;
-//! anything that fails to *parse* is dropped (and its region quarantined
-//! once no live entry remains) — never served, never silently deleted.
+//! Reads take each array of an entry out of its region straight into the
+//! buffer the decoded pool keeps (several [`crate::io::StoreIo::read_at`]
+//! calls, every length checked against the manifest's byte count first)
+//! and verify the CRC trailer over them; anything that fails to *parse*
+//! is dropped (and its region quarantined once no live entry remains) —
+//! never served, never silently deleted.
 //! An I/O error (as opposed to a parse failure) never quarantines: the
 //! bytes may be perfectly healthy on a sick disk, so the tier degrades
 //! instead and keeps the entry.
@@ -38,10 +41,12 @@
 //! affected regions, copying live entries into fresh packs and
 //! reclaiming the rest — reported per region.
 //!
-//! A v1 store directory (one `pool-*.mrr` segment per key) is not
-//! read: its manifest takes the unsupported-version path (quarantined,
-//! the tier starts empty) and its segments are quarantined as orphans.
-//! The store is a cache, so those keys resample bitwise-identically.
+//! A directory written under an earlier manifest schema — v1 (one
+//! `pool-*.mrr` segment per key), v2 (no epochs) or v3 (pool binio v2
+//! payloads, which carry no inverted index) — is not read: its manifest
+//! takes the unsupported-version path (quarantined, the tier starts
+//! empty) and its data files are quarantined as orphans. The store is a
+//! cache, so those keys resample bitwise-identically.
 //!
 //! All filesystem access goes through the [`crate::io::StoreIo`] seam,
 //! so tests can inject ENOSPC, torn appends, rename loss, and crash
@@ -54,15 +59,16 @@ use crate::arena::PoolKey;
 use crate::health::{TierHealth, TierHealthSnapshot};
 use crate::io::{DynStoreIo, RealIo, StoreIo};
 use crate::{StoreError, StoreResult};
-use oipa_sampler::binio::{read_pool, write_pool, PoolIoError};
+use oipa_sampler::binio::{PoolEncoding, PoolIoError, RawPool};
 use oipa_sampler::MrrPool;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Manifest schema version (v3: epoch lineage — the single instance
 /// fingerprint became a fingerprint *chain*, and every entry carries the
-/// epoch it was sampled or repaired at).
-const MANIFEST_VERSION: u32 = 3;
+/// epoch it was sampled or repaired at; v4: entries are pool binio v3,
+/// which stores each piece's inverted index).
+const MANIFEST_VERSION: u32 = 4;
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "index.json";
 /// Quarantine subdirectory name.
@@ -90,9 +96,9 @@ pub struct ManifestEntry {
     pub file: String,
     /// Byte offset of this entry's payload inside the region.
     pub offset: u64,
-    /// Payload size in bytes (binio v2 frame, trailer included).
+    /// Payload size in bytes (binio v3 frame, trailer included).
     pub bytes: u64,
-    /// CRC-32 of the payload (the binio v2 trailer value).
+    /// CRC-32 of the payload (the binio v3 trailer value).
     pub crc: u32,
     /// LRU recency stamp (larger = more recent); persists across opens.
     pub last_used: u64,
@@ -206,6 +212,9 @@ pub struct DiskStats {
     pub dead_bytes: u64,
     /// Lookups served from disk.
     pub hits: u64,
+    /// Bytes lookups read from region files: a disk hit reads exactly
+    /// its entry's manifest byte count.
+    pub read_bytes: u64,
     /// Lookups that found no (usable) entry.
     pub misses: u64,
     /// Pools written to disk (spills + write-through inserts).
@@ -304,21 +313,51 @@ pub(crate) struct EntryAt {
     epoch: u64,
 }
 
-/// An entry's payload as read under the tier lock: not yet verified.
+/// An entry's arrays as read under the tier lock, not yet verified — or
+/// the format error that ended the read.
 pub(crate) struct RawEntry {
     at: EntryAt,
-    data: Vec<u8>,
+    read: Result<RawPool, PoolIoError>,
 }
 
 impl RawEntry {
-    /// Step 2 of a lookup: checks the CRC trailer and decodes the pool
-    /// (rebuilding its inverted index). Needs no lock; the read buffer
-    /// is freed once the pool's arrays are decoded, before its index is
-    /// built.
+    /// Step 2 of a lookup: checks the CRC trailer over the arrays as
+    /// read, decodes the stored postings and runs the structural checks
+    /// ([`RawPool::decode`]). Needs no lock.
     pub(crate) fn decode(self) -> (EntryAt, Result<MrrPool, PoolIoError>) {
-        let decoded = read_pool(self.data);
-        (self.at, decoded)
+        (self.at, self.read.and_then(RawPool::decode))
     }
+}
+
+/// One entry's bytes as a [`std::io::Read`] source: each `read` is one
+/// [`StoreIo::read_at`] call that fills the whole buffer, starting where
+/// the previous one stopped.
+struct EntryReader<'a> {
+    io: &'a dyn StoreIo,
+    path: &'a Path,
+    offset: u64,
+}
+
+impl std::io::Read for EntryReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.io.read_at(self.path, self.offset, buf)?;
+        self.offset += buf.len() as u64;
+        Ok(buf.len())
+    }
+}
+
+/// Reads the `bytes`-byte entry at `offset` of a region into a
+/// [`RawPool`] through the seam. Returns the read and how many bytes it
+/// took from the region.
+fn read_entry(
+    io: &dyn StoreIo,
+    path: &Path,
+    offset: u64,
+    bytes: u64,
+) -> (Result<RawPool, PoolIoError>, u64) {
+    let mut src = EntryReader { io, path, offset };
+    let read = RawPool::read(&mut src, bytes);
+    (read, src.offset - offset)
 }
 
 /// The on-disk pool tier. See the module docs for layout and guarantees.
@@ -342,6 +381,7 @@ pub struct DiskTier {
     dirty: bool,
     open_report: OpenReport,
     hits: u64,
+    read_bytes: u64,
     misses: u64,
     spills: u64,
     evictions: u64,
@@ -391,7 +431,7 @@ impl DiskTier {
     /// whose region vanished or shrank are dropped, files the manifest
     /// does not know are quarantined, stale temp files are removed, and
     /// the byte budget is enforced. A manifest of any other schema than
-    /// v3 is quarantined like a corrupt one. Corruption never
+    /// v4 is quarantined like a corrupt one. Corruption never
     /// fails the open — it is repaired and reported in
     /// [`DiskTier::open_report`]. Neither do repair-write failures (a
     /// read-only or full disk): the affected entries are dropped from
@@ -435,7 +475,7 @@ impl DiskTier {
                 match parsed {
                     Ok(m) => m,
                     Err(reason) => {
-                        // Unreadable, retired (v1, v2) or future-versioned: set
+                        // Unreadable, retired (v1–v3) or future-versioned: set
                         // the manifest aside and start empty; its files
                         // become orphans below. Never serve entries we
                         // cannot trust.
@@ -550,6 +590,7 @@ impl DiskTier {
             dirty: false,
             open_report: report,
             hits: 0,
+            read_bytes: 0,
             misses: 0,
             spills: 0,
             evictions: 0,
@@ -759,7 +800,7 @@ impl DiskTier {
         Ok(purge)
     }
 
-    /// Looks up a pool, slicing its entry out of its region and
+    /// Looks up a pool, reading its entry's arrays out of its region and
     /// CRC-verifying it. An entry that fails *verification* is dropped —
     /// and its region quarantined once no live entry remains in it — so
     /// the caller sees a plain miss and resamples. An entry whose read
@@ -780,10 +821,13 @@ impl DiskTier {
             .map(|(pool, _)| pool)
     }
 
-    /// Step 1 of a lookup: finds the key's entry and reads its payload
-    /// bytes, unverified. A miss, a degraded tier, or a failed read ends
-    /// the lookup here (counted per [`Lookup`]); a read I/O error keeps
-    /// the entry and degrades the tier.
+    /// Step 1 of a lookup: finds the key's entry and reads its arrays,
+    /// unverified, each straight into the buffer the decoded pool keeps
+    /// ([`RawPool::read`], bounded by the entry's manifest byte count). A
+    /// miss, a degraded tier, or a read I/O error ends the lookup here
+    /// (counted per [`Lookup`]); an I/O error keeps the entry and
+    /// degrades the tier. A read that finds the entry malformed still
+    /// returns it, for [`DiskTier::settle`] to drop.
     pub(crate) fn read(&mut self, key: &PoolKey, lookup: Lookup) -> Option<RawEntry> {
         self.maybe_probe();
         if !self.health.healthy() {
@@ -809,10 +853,12 @@ impl DiskTier {
             offset: entry.offset,
             epoch: entry.epoch,
         };
-        let bytes = entry.bytes as usize;
-        match self.io.read_at(&self.dir.join(&at.file), at.offset, bytes) {
-            Ok(data) => Some(RawEntry { at, data }),
-            Err(e) => {
+        let bytes = entry.bytes;
+        let path = self.dir.join(&at.file);
+        let (read, took) = read_entry(self.io.as_ref(), &path, at.offset, bytes);
+        self.read_bytes += took;
+        match read {
+            Err(PoolIoError::Io(e)) => {
                 // The disk failed, not the entry: keep it and degrade.
                 // Quarantining here would throw away healthy pools every
                 // time a disk hiccups.
@@ -821,6 +867,7 @@ impl DiskTier {
                 self.count_miss(lookup);
                 None
             }
+            read => Some(RawEntry { at, read }),
         }
     }
 
@@ -971,8 +1018,9 @@ impl DiskTier {
                 return true;
             }
         }
-        let mut buf = Vec::new();
-        let crc = match write_pool(pool, &mut buf) {
+        let encoding = PoolEncoding::new(pool);
+        let mut buf = Vec::with_capacity(encoding.encoded_len());
+        let crc = match encoding.write(&mut buf) {
             Ok(crc) => crc,
             Err(e) => {
                 // Unreachable for a Vec sink, but never panic on it.
@@ -1119,9 +1167,11 @@ impl DiskTier {
     }
 
     /// Reads every indexed entry out of its region, checking structure,
-    /// CRC trailer, and the manifest's recorded checksum. Mutates
-    /// nothing — pair with [`DiskTier::gc`] to act on the findings.
-    /// Labels are `region@offset`.
+    /// CRC trailer, the manifest's recorded checksum, and the stored
+    /// inverted index against one rebuilt from the entry's RR sets
+    /// ([`MrrPool::check_index`]). Mutates nothing — pair with
+    /// [`DiskTier::gc`] to act on the findings. Labels are
+    /// `region@offset`.
     pub fn verify(&self) -> VerifyReport {
         let mut report = VerifyReport {
             ok: Vec::new(),
@@ -1138,22 +1188,18 @@ impl DiskTier {
     }
 
     /// Full verification of one entry: readable, parseable, trailer
-    /// matches the manifest CRC, θ matches the key.
+    /// matches the manifest CRC, θ matches the key, and the stored index
+    /// is the one the entry's sets rebuild.
     fn check_entry(&self, entry: &ManifestEntry) -> Result<(), String> {
-        let data = self
-            .io
-            .read_at(
-                &self.dir.join(&entry.file),
-                entry.offset,
-                entry.bytes as usize,
-            )
-            .map_err(|e| format!("io error: {e}"))?;
-        let pool = read_pool(&data[..]).map_err(|e| e.to_string())?;
-        let trailer = entry_trailer_crc(&data);
-        if trailer != Some(entry.crc) {
+        let path = self.dir.join(&entry.file);
+        let (read, _) = read_entry(self.io.as_ref(), &path, entry.offset, entry.bytes);
+        let raw = read.map_err(|e| e.to_string())?;
+        let trailer = raw.stored_crc();
+        let pool = raw.decode().map_err(|e| e.to_string())?;
+        if trailer != entry.crc {
             return Err(format!(
-                "manifest crc {:#010x} does not match entry trailer {:?}",
-                entry.crc, trailer
+                "manifest crc {:#010x} does not match entry trailer {trailer:#010x}",
+                entry.crc
             ));
         }
         if pool.theta() != entry.key.theta() {
@@ -1163,7 +1209,7 @@ impl DiskTier {
                 entry.key.theta()
             ));
         }
-        Ok(())
+        pool.check_index()
     }
 
     /// Repairs and compacts the tier: drops entries whose region
@@ -1264,9 +1310,9 @@ impl DiskTier {
                     let e = &self.manifest.entries[i];
                     (e.offset, e.bytes)
                 };
-                let data = self
-                    .io
-                    .read_at(&self.dir.join(file), offset, bytes as usize)
+                let mut data = vec![0u8; bytes as usize];
+                self.io
+                    .read_at(&self.dir.join(file), offset, &mut data)
                     .map_err(|e| {
                         self.health
                             .record_error(format!("gc: rereading {file}@{offset}: {e}"));
@@ -1420,6 +1466,7 @@ impl DiskTier {
             region_bytes: self.region_bytes,
             dead_bytes: self.dead_bytes(),
             hits: self.hits,
+            read_bytes: self.read_bytes,
             misses: self.misses,
             spills: self.spills,
             evictions: self.evictions,
@@ -1587,14 +1634,4 @@ fn quarantine_file(io: &dyn StoreIo, dir: &Path, name: &str, reason: &str) -> St
     let note = PathBuf::from(format!("{}.reason.txt", target.display()));
     let _ = io.write(&note, format!("{reason}\n").as_bytes());
     Ok(())
-}
-
-/// The stored CRC-32 trailer of an entry payload (its last 4 bytes), or
-/// `None` if the slice is too short to carry one.
-fn entry_trailer_crc(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let t = &bytes[bytes.len() - 4..];
-    Some(u32::from_le_bytes([t[0], t[1], t[2], t[3]]))
 }

@@ -64,9 +64,16 @@ pub trait StoreIo: Send + Sync {
     /// Appends `bytes` to the end of a file, creating it if absent (the
     /// region tier's pack path).
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Reads exactly `len` bytes starting at `offset` (a region-packed
-    /// entry read).
-    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>>;
+    /// Fills `buf` with the `buf.len()` bytes starting at `offset`; a
+    /// range past the end of the file is an error, never a short read.
+    ///
+    /// A disk-tier entry read is several of these calls, not one: the
+    /// tier reads each array of a pool (roots, then per piece offsets,
+    /// nodes, index offsets and postings, plus the header and the small
+    /// length fields between them) straight into the buffer that keeps
+    /// it. So a `read:<kind>=N` fault rule counts each call, and one
+    /// entry read spans many of `N`.
+    fn read_at(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<()>;
     /// Truncates a file to `len` bytes (recovery trimming a torn region
     /// tail back to its last committed offset).
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()>;
@@ -150,13 +157,11 @@ impl StoreIo for RealIo {
         file.write_all(bytes)
     }
 
-    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+    fn read_at(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         use std::io::{Read as _, Seek as _, SeekFrom};
         let mut file = std::fs::File::open(path)?;
         file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
+        file.read_exact(buf)
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
@@ -178,7 +183,8 @@ pub enum FaultOp {
     Remove,
     /// `fsync` calls.
     Sync,
-    /// Whole-file reads.
+    /// Reads: whole files, tails, and each `read_at` call of an entry
+    /// read.
     Read,
     /// Directory listings.
     List,
@@ -651,10 +657,14 @@ impl StoreIo for FaultIo {
         }
     }
 
-    fn read_at(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
-        let what = format!("reading {len} bytes at {offset} from {}", path.display());
+    fn read_at(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let what = format!(
+            "reading {} bytes at {offset} from {}",
+            buf.len(),
+            path.display()
+        );
         match self.decide(FaultOp::Read, &what) {
-            Verdict::Pass => self.inner.read_at(path, offset, len),
+            Verdict::Pass => self.inner.read_at(path, offset, buf),
             Verdict::Fail(e) | Verdict::Drop(e) => Err(e),
             Verdict::Torn => unreachable!("reads are never torn"),
         }
@@ -808,10 +818,13 @@ mod tests {
         io.append(&path, b"first-").unwrap(); // creates the file
         io.append(&path, b"second").unwrap();
         assert_eq!(io.len(&path).unwrap(), 12);
-        assert_eq!(io.read_at(&path, 0, 6).unwrap(), b"first-");
-        assert_eq!(io.read_at(&path, 6, 6).unwrap(), b"second");
+        let mut buf = [0u8; 6];
+        io.read_at(&path, 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"first-");
+        io.read_at(&path, 6, &mut buf).unwrap();
+        assert_eq!(&buf, b"second");
         assert!(
-            io.read_at(&path, 6, 7).is_err(),
+            io.read_at(&path, 6, &mut [0u8; 7]).is_err(),
             "a read past the end must fail, not short-read"
         );
         io.truncate(&path, 6).unwrap();

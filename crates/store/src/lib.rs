@@ -33,9 +33,10 @@
 //! only inserts and evictions take it exclusively. The disk tier sits
 //! behind one mutex covering its manifest, recency stamps, counters and
 //! file writes (puts and spills). A disk hit holds that lock only to
-//! find its entry and read the bytes, and again to settle the outcome;
-//! the CRC check and decode — most of a disk hit's cost — run outside
-//! it, so lookups of different cold keys decode in parallel. Fetches of
+//! find its entry and read its arrays (straight into the buffers the
+//! pool keeps), and again to settle the outcome; the CRC check and the
+//! decode of the stored postings run outside it, so lookups of
+//! different cold keys decode in parallel. Fetches of
 //! the *same* cold key queue on one per-key in-flight guard, held across
 //! the disk read and the populate step: every racer after the first
 //! takes the pool the first one promoted into memory or populated, so a
@@ -47,7 +48,7 @@
 //! synced, then committed by an atomic temp+sync+rename manifest rewrite
 //! (the rename is the ack point — a torn append is just unindexed bytes
 //! past the region's committed watermark, truncated by the next open);
-//! every read verifies the pool binio v2 CRC-32 trailer; anything
+//! every read verifies the pool binio v3 CRC-32 trailer; anything
 //! corrupt or unaccounted for is moved to `quarantine/` — recovery never
 //! fails an open and corruption is never served. Disk reads batch their
 //! LRU stamps in memory (flushed on the next write or on drop) instead
@@ -572,7 +573,7 @@ impl PoolStore {
     }
 
     /// Lookup steps 2 and 3, after [`DiskTier::read`] took an entry's
-    /// bytes under the tier lock: verify and decode them with the lock
+    /// arrays under the tier lock: verify and decode them with the lock
     /// released, then take it again to settle the outcome (see
     /// [`DiskTier::settle`]). A servable serving hit is promoted into
     /// memory before the lock is released, unless the pool alone exceeds

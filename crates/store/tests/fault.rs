@@ -189,3 +189,33 @@ fn failed_recency_flush_bumps_the_counter_and_never_panics() {
     let got = reopened.get(&k).expect("the acked segment survived");
     assert_eq!(got.fingerprint(), p.fingerprint());
 }
+
+/// An entry read is several `read_at` calls, one per array. An I/O error
+/// midway through them is the disk's fault, not the entry's: the lookup
+/// misses and the tier degrades, but the entry stays indexed and out of
+/// quarantine, and only the bytes read before the fault count as read.
+#[test]
+fn eio_midway_through_an_entry_read_keeps_the_entry() {
+    let dir = tmpdir("eio-mid-read");
+    let store = PoolStore::open(StoreConfig::new(&dir)).unwrap();
+    store.insert(key(400, 7), pool(400, 7));
+    let bytes = store.disk().unwrap().entries()[0].bytes;
+    drop(store);
+
+    // Read #0 is the reopen's manifest read; reads #1 to #4 are the
+    // entry's header, roots, and piece 0's offsets and nodes.
+    let fault = FaultIo::over_real(FaultSchedule::parse("read:eio=4").unwrap());
+    let store = PoolStore::open(StoreConfig::new(&dir).with_io(fault)).unwrap();
+    assert!(store.get(&key(400, 7)).is_none(), "a failed read is a miss");
+    let health = store.health().unwrap();
+    assert!(!health.is_healthy(), "an I/O error degrades the tier");
+    assert!(health.last_error.unwrap().contains("EIO"));
+    let disk = store.stats().disk.unwrap();
+    assert_eq!((disk.entries, disk.corrupt_dropped, disk.hits), (1, 0, 0));
+    assert!(
+        disk.read_bytes > 0 && disk.read_bytes < bytes,
+        "read {} of {bytes} bytes",
+        disk.read_bytes
+    );
+    assert!(!dir.join(oipa_store::QUARANTINE_DIR).exists());
+}

@@ -82,6 +82,84 @@ fn cold_mem_and_disk_paths_serve_identical_pools() {
     assert!(fill > 0.0 && fill <= 1.0, "region fill {fill}");
 }
 
+/// The widest varint a pool's stored postings need: each gap is a
+/// sample id minus the node's previous id minus one.
+fn widest_varint(pool: &MrrPool) -> u32 {
+    let mut widest = 0;
+    for j in 0..pool.ell() {
+        for v in 0..pool.node_count() as u32 {
+            let mut next = 0u32;
+            for &id in pool.samples_containing(j, v) {
+                widest = widest.max((38 - ((id - next) | 1).leading_zeros()) / 7);
+                next = id + 1;
+            }
+        }
+    }
+    widest
+}
+
+/// A disk hit reads each array of its entry through the store's seam
+/// straight into the pool; `binio::read_pool` reads the same bytes from
+/// a slice. Both are the one decoder, and over seeded pools — θ = 1
+/// (nodes with no postings) up to gaps that need three-byte varints —
+/// both give the cold pool back, stored index included, and each hit
+/// reads exactly its entry's manifest bytes.
+#[test]
+fn disk_hits_and_slice_reads_decode_the_cold_pool() {
+    use rand::SeedableRng;
+    let dir = tmpdir("in-place-read");
+    let store = PoolStore::open(config(&dir)).unwrap();
+    let mut read_bytes = 0;
+    let mut widths = Vec::new();
+    for (n, m, theta, seed) in [
+        (20, 70, 1, 1),
+        (20, 70, 2, 2),
+        (20, 70, 20_000, 3),
+        (30_000, 60_000, 20_000, 4),
+    ] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (g, table, campaign) =
+            oipa_sampler::testkit::small_random_instance(&mut rng, n, m, 3, 2);
+        let cold = Arc::new(MrrPool::generate(&g, &table, &campaign, theta, seed));
+        widths.push(widest_varint(&cold));
+        store.insert(key(theta, seed), Arc::clone(&cold));
+        store.clear_memory();
+        let (hit, tier) = store.get(&key(theta, seed)).unwrap();
+        assert_eq!(tier, PoolTier::Disk);
+        let (file, offset, bytes) = {
+            let disk = store.disk().unwrap();
+            let e = disk
+                .entries()
+                .iter()
+                .find(|e| e.key == key(theta, seed))
+                .unwrap();
+            (e.file.clone(), e.offset as usize, e.bytes as usize)
+        };
+        let region = std::fs::read(dir.join(file)).unwrap();
+        let sliced = oipa_sampler::binio::read_pool(&region[offset..offset + bytes]).unwrap();
+        for (label, back) in [("disk hit", &*hit), ("slice read", &sliced)] {
+            assert_eq!(back.fingerprint(), cold.fingerprint(), "θ {theta}: {label}");
+            assert_eq!(back.roots(), cold.roots(), "θ {theta}: {label}");
+            for j in 0..cold.ell() {
+                for v in 0..cold.node_count() as u32 {
+                    assert_eq!(
+                        back.samples_containing(j, v),
+                        cold.samples_containing(j, v),
+                        "θ {theta}: {label}: piece {j}, node {v}"
+                    );
+                }
+            }
+        }
+        read_bytes += bytes as u64;
+        assert_eq!(
+            store.stats().disk.unwrap().read_bytes,
+            read_bytes,
+            "θ {theta}"
+        );
+    }
+    assert_eq!(widths, [1, 1, 2, 3], "the varint widths these pools cover");
+}
+
 #[test]
 fn arena_miss_consults_disk_before_resampling() {
     let dir = tmpdir("tiered-lookup");
@@ -278,20 +356,37 @@ fn write_v2_dir(dir: &PathBuf, p: &Arc<MrrPool>, k: &PoolKey) -> String {
     region.file
 }
 
-/// A directory in a retired format — v1 (file-per-key) or v2 (regions
-/// under one instance fingerprint, no epochs) — is not migrated: its
-/// manifest takes the unsupported-version path and its data file is
-/// quarantined as an orphan. The store is a cache, so the key misses and
-/// resamples to the same pool.
+/// Writes a v3 (epoch lineage, entries in pool binio v2) directory
+/// holding `p` under `k`: the current tier's own directory with its
+/// manifest's version set back to 3. Returns the region file.
+fn write_v3_dir(dir: &PathBuf, p: &Arc<MrrPool>, k: &PoolKey) -> String {
+    let store = PoolStore::open(config(dir)).unwrap();
+    store.insert(k.clone(), Arc::clone(p));
+    let region = store.disk().unwrap().regions()[0].file.clone();
+    drop(store);
+    let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
+    let retired = manifest.replacen("\"version\": 4", "\"version\": 3", 1);
+    assert_ne!(retired, manifest, "the manifest records version 4");
+    std::fs::write(dir.join(MANIFEST_FILE), retired).unwrap();
+    region
+}
+
+/// A directory in a retired format — v1 (file-per-key), v2 (regions
+/// under one instance fingerprint, no epochs) or v3 (entries in pool
+/// binio v2, with no stored index) — is not migrated: its manifest takes
+/// the unsupported-version path and its data file is quarantined as an
+/// orphan. The store is a cache, so the key misses and resamples to the
+/// same pool.
 #[test]
 fn v1_directory_is_quarantined_and_its_keys_resample() {
     let p = pool(300, 3);
     let k = key(300, 3);
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let dir = tmpdir(&format!("v{version}-dir"));
         let data_file = match version {
             1 => write_v1_dir(&dir, &p, &k),
-            _ => write_v2_dir(&dir, &p, &k),
+            2 => write_v2_dir(&dir, &p, &k),
+            _ => write_v3_dir(&dir, &p, &k),
         };
 
         let store = PoolStore::open(config(&dir)).unwrap();
