@@ -775,6 +775,70 @@ mod tests {
         }
     }
 
+    /// A digest of everything a solver reads from a pool: n, the roots
+    /// and every piece's `samples_containing(j, v)`, lengths included.
+    fn index_digest(pool: &MrrPool) -> u64 {
+        use std::hash::Hasher as _;
+        let mut h = oipa_graph::hashing::FxHasher::default();
+        h.write_u64(pool.node_count() as u64);
+        h.write_u64(pool.theta() as u64);
+        for &r in pool.roots() {
+            h.write_u32(r);
+        }
+        for j in 0..pool.ell() {
+            for v in 0..pool.node_count() as u32 {
+                let ids = pool.samples_containing(j, v);
+                h.write_u64(ids.len() as u64);
+                for &i in ids {
+                    h.write_u32(i);
+                }
+            }
+        }
+        h.finish()
+    }
+
+    /// The index every solver reads is fixed across storage layouts and
+    /// format versions: the two fig. 1 pools of
+    /// `write_pool_output_is_pinned`, and one pool shaped like
+    /// `wirebench`'s `spill` pools (its base instance: 300 nodes, 2 400
+    /// edges, 4 topics, ℓ = 3, θ = 20 000), digest to these values,
+    /// sampled cold and after a write/read round trip.
+    #[test]
+    fn index_digest_is_pinned() {
+        use rand::SeedableRng as _;
+        let (g, table, campaign) = fig1();
+        let spill = crate::testkit::small_random_instance(
+            &mut rand::rngs::StdRng::seed_from_u64(0x5e12e),
+            300,
+            2_400,
+            4,
+            3,
+        );
+        let pools = [
+            (
+                MrrPool::generate(&g, &table, &campaign, 300, 5),
+                0xE2AF_929B_DECE_B52F,
+            ),
+            (
+                MrrPool::generate(&g, &table, &campaign, 5_000, 9),
+                0xDB08_9CBE_42AE_0BC2,
+            ),
+            (
+                MrrPool::generate(&spill.0, &spill.1, &spill.2, 20_000, 7),
+                0x9BF9_6309_E7DF_C0FA,
+            ),
+        ];
+        for (k, (pool, expected)) in pools.iter().enumerate() {
+            let mut buf = Vec::new();
+            write_pool(pool, &mut buf).unwrap();
+            let back = read_pool(&buf).unwrap();
+            for (label, p) in [("cold", pool), ("read back", &back)] {
+                let digest = index_digest(p);
+                assert_eq!(digest, *expected, "pool {k} {label}: {digest:#018x}");
+            }
+        }
+    }
+
     #[test]
     fn checksum_catches_structurally_valid_corruption() {
         let (g, table, campaign) = fig1();
