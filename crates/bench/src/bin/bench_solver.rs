@@ -7,16 +7,17 @@
 //!
 //! * `--smoke` — one tiny instance (seconds)
 //! * `--check` — validate the report invariants and the written JSON; on
-//!   a full run, also require `tau_evaluations`, `nodes_expanded` and
-//!   `bounds_computed` to equal the checked-in `BENCH_solver.json` row by
-//!   row. Exits non-zero on any violation.
+//!   a full run, also require `tau_evaluations`, `nodes_expanded`,
+//!   `bounds_computed`, and bit for bit `utility` and `upper_bound`, to
+//!   equal the checked-in `BENCH_solver.json` row by row. Exits non-zero
+//!   on any violation.
 //! * `--out`   — output path (default `BENCH_solver.json` in the working
 //!   directory; with `--check`, `BENCH_solver.json` beside the executable,
 //!   so a check from the repository root leaves the checked-in file as it
 //!   is)
 
 use oipa_bench::solver_suite::{
-    compare_counts, run_solver_suite, summary_text, validate_report, SolverSuiteConfig,
+    compare_exact, run_solver_suite, summary_text, validate_report, SolverSuiteConfig,
     SolverSuiteReport,
 };
 
@@ -60,17 +61,19 @@ fn main() {
         if let Err(e) = validate_report(&report) {
             die(&format!("validation failed: {e}"));
         }
-        // The written file must parse back to the same counts.
-        if let Err(e) = compare_counts(&report, &read_report(&out)) {
+        // The written file must parse back to the same counts and answers.
+        if let Err(e) = compare_exact(&report, &read_report(&out)) {
             die(&format!("{out} does not round-trip: {e}"));
         }
         if let Some(baseline) = baseline {
-            if let Err(e) = compare_counts(&baseline, &report) {
+            if let Err(e) = compare_exact(&baseline, &report) {
                 die(&format!(
-                    "counts differ from the checked-in BENCH_solver.json: {e}"
+                    "counts or answers differ from the checked-in BENCH_solver.json: {e}"
                 ));
             }
-            println!("check passed: invariants hold, counts equal the checked-in baseline");
+            println!(
+                "check passed: invariants hold, counts and answers equal the checked-in baseline"
+            );
         } else {
             println!("check passed: invariants hold");
         }

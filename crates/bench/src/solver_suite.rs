@@ -6,8 +6,9 @@
 //! `bounds_computed`, and the incremental engine's cache/trail counters.
 //! Regenerate it with
 //! `cargo run --release -p oipa-bench --bin bench_solver`; `--check`
-//! gates the three search-effort counts exactly against the checked-in
-//! file ([`compare_counts`]).
+//! gates the three search-effort counts and the answers (utility and
+//! upper bound, bit for bit) exactly against the checked-in file
+//! ([`compare_exact`]).
 //!
 //! Every incremental run is paired with its reference run on the same
 //! instance and records whether the plans matched — the suite doubles as
@@ -369,10 +370,12 @@ fn row_label(r: &SolverBenchRecord) -> String {
 
 /// The exact gate: `actual` must carry the same rows as `expected`, in
 /// the same order, with equal `tau_evaluations`, `nodes_expanded` and
-/// `bounds_computed`. These counts are deterministic for a given seed,
-/// so any difference is a change in search behaviour, never noise.
-/// Wall-clock and the remaining fields are not compared.
-pub fn compare_counts(
+/// `bounds_computed`, and bitwise-equal `utility` and `upper_bound`.
+/// These are deterministic for a given seed, so any difference is a
+/// change in search behaviour or in the answer, never noise (the report
+/// writes each float in its shortest round-trip form, so it reads back
+/// bit for bit). Wall-clock and the remaining fields are not compared.
+pub fn compare_exact(
     expected: &SolverSuiteReport,
     actual: &SolverSuiteReport,
 ) -> Result<(), String> {
@@ -420,6 +423,15 @@ pub fn compare_counts(
         for (field, want, got) in counts {
             if want != got {
                 diffs.push(format!("{label}: {field} {got} (baseline {want})"));
+            }
+        }
+        let answers = [
+            ("utility", e.utility, a.utility),
+            ("upper_bound", e.upper_bound, a.upper_bound),
+        ];
+        for (field, want, got) in answers {
+            if want.to_bits() != got.to_bits() {
+                diffs.push(format!("{label}: {field} {got:?} (baseline {want:?})"));
             }
         }
     }
@@ -481,7 +493,7 @@ mod tests {
         let report = smoke();
         let json = serde_json::to_string_pretty(&report).unwrap();
         let parsed: SolverSuiteReport = serde_json::from_str(&json).unwrap();
-        compare_counts(&parsed, &report).expect("a round trip keeps every count");
+        compare_exact(&parsed, &report).expect("a round trip keeps every count and answer");
 
         for (row, field) in [
             (0, "tau_evaluations"),
@@ -495,19 +507,39 @@ mod tests {
                 "nodes_expanded" => r.nodes_expanded += 1,
                 _ => r.bounds_computed += 1,
             }
-            let err = compare_counts(&report, &perturbed).unwrap_err();
+            let err = compare_exact(&report, &perturbed).unwrap_err();
+            assert!(err.contains(field), "{err}");
+            assert!(err.contains(&row_label(&report.records[row])), "{err}");
+        }
+
+        // One ulp either way on either answer fails the gate.
+        let ulp =
+            |x: f64, up: bool| f64::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 });
+        for (row, field, up) in [
+            (1, "utility", true),
+            (2, "utility", false),
+            (4, "upper_bound", true),
+            (5, "upper_bound", false),
+        ] {
+            let mut perturbed = report.clone();
+            let r = &mut perturbed.records[row];
+            match field {
+                "utility" => r.utility = ulp(r.utility, up),
+                _ => r.upper_bound = ulp(r.upper_bound, up),
+            }
+            let err = compare_exact(&report, &perturbed).unwrap_err();
             assert!(err.contains(field), "{err}");
             assert!(err.contains(&row_label(&report.records[row])), "{err}");
         }
 
         let mut missing = report.clone();
         missing.records.pop();
-        assert!(compare_counts(&report, &missing).is_err());
+        assert!(compare_exact(&report, &missing).is_err());
         let mut reordered = report.clone();
         reordered.records.swap(1, 2);
-        assert!(compare_counts(&report, &reordered).is_err());
+        assert!(compare_exact(&report, &reordered).is_err());
         let mut reseeded = report.clone();
         reseeded.seed = 1;
-        assert!(compare_counts(&report, &reseeded).is_err());
+        assert!(compare_exact(&report, &reseeded).is_err());
     }
 }

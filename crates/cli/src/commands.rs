@@ -1270,42 +1270,34 @@ mod tests {
         );
     }
 
-    /// `store verify` rebuilds each entry's inverted index from its RR
-    /// sets: an entry whose stored index is wrong but whose checksum (and
-    /// the manifest's record of it) is valid decodes and would be
-    /// served, and only that rebuild catches it.
+    /// `store verify` runs the decoder's structural checks, not only the
+    /// checksums: an entry whose checksum (and the manifest's record of
+    /// it) is valid but whose postings name a sample past θ fails.
     #[test]
-    fn store_verify_rebuilds_the_stored_index() {
+    fn store_verify_fails_a_valid_crc_entry_that_breaks_a_structural_check() {
         let dir = tmp("idx.store");
         let _ = std::fs::remove_dir_all(&dir);
         let (g, table, campaign) = oipa_sampler::testkit::fig1();
-        let pool = MrrPool::generate(&g, &table, &campaign, 300, 5);
+        let theta = 50;
+        let pool = MrrPool::generate(&g, &table, &campaign, theta, 5);
         let mut tier = DiskTier::open(&dir, u64::MAX).unwrap();
-        assert!(tier.put(&oipa_store::PoolKey::sampled("idx".into(), 300, 5), &pool));
+        assert!(tier.put(&oipa_store::PoolKey::sampled("idx".into(), theta, 5), &pool));
         let entry = tier.entries()[0].clone();
         drop(tier);
         assert!(run_words(&["store", "verify", "--dir", &dir])
             .unwrap()
             .contains("1 segment(s) verified clean"));
 
-        // Find piece 0's postings (binio v3) and lower one one-byte gap:
-        // its sample ids stay ascending and below θ, so the entry still
-        // decodes, but the index no longer matches the sets.
+        // Piece 0's postings (binio v4) start with node 0's first id as a
+        // one-byte gap; 127 puts it past θ = 50.
         let region = std::path::Path::new(&dir).join(&entry.file);
         let mut bytes = std::fs::read(&region).unwrap();
         let (start, len) = (entry.offset as usize, entry.bytes as usize);
         let data = &mut bytes[start..start + len];
-        let word =
-            |data: &[u8], at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
         let n = u32::from_le_bytes(data[12..16].try_into().unwrap()) as usize;
-        let theta = word(data, 16) as usize;
-        let offsets = 28 + 4 * theta;
-        let total = word(data, offsets + 8 * theta) as usize;
-        let postings = offsets + 8 * (theta + 1) + 4 * total + 8 * (n + 1) + 8;
-        let gap = (postings..len - 4)
-            .find(|&at| (1..0x80).contains(&data[at]))
-            .expect("a one-byte gap above 0");
-        data[gap] -= 1;
+        let postings = 28 + 4 * theta + 8 * (n + 1) + 8;
+        assert!(data[postings] < 0x80, "a one-byte gap");
+        data[postings] = 0x7f;
         let crc = oipa_graph::checksum::crc32(&data[..len - 4]);
         data[len - 4..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&region, &bytes).unwrap();
@@ -1321,7 +1313,7 @@ mod tests {
 
         let err = run_words(&["store", "verify", "--dir", &dir]).unwrap_err();
         assert!(err.to_string().contains("CORRUPT"), "{err}");
-        assert!(err.to_string().contains("inverted index"), "{err}");
+        assert!(err.to_string().contains("not below θ"), "{err}");
     }
 
     /// `--fault-schedule` (dev flag): a disk-full first segment write

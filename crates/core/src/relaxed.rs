@@ -331,7 +331,8 @@ mod tests {
         for i in 0..pool.theta() {
             let mut c = 0usize;
             for j in 0..pool.ell() {
-                if plan.set(j).iter().any(|&v| pool.rr_set(j, i).contains(&v)) {
+                let holds = |v: NodeId| pool.samples_containing(j, v).binary_search(&(i as u32));
+                if plan.set(j).iter().any(|&v| holds(v).is_ok()) {
                     c += 1;
                 }
             }

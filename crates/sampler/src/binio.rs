@@ -8,18 +8,16 @@
 //! and the persistent pool store (`oipa-store`) keeps these files across
 //! process restarts.
 //!
-//! Format v3 (little-endian):
+//! Format v4 (little-endian):
 //!
 //! ```text
 //! [8]  magic "OIPAMRRP"
-//! [4]  version (u32; only v3 is read or written)
+//! [4]  version (u32; only v4 is read or written)
 //! [4]  n (u32)
 //! [8]  θ (u64)
 //! [4]  ℓ (u32)
 //! [θ·4]  roots (u32)
 //! ℓ × piece:
-//!   [(θ+1)·8]  offsets (u64): set i is nodes[offsets[i]..offsets[i+1]]
-//!   [Σ|R|·4]   nodes (u32)
 //!   [(n+1)·8]  idx_offsets (u64): node v's postings are the
 //!              idx_offsets[v]..idx_offsets[v+1]-th sample ids
 //!   [8]        L, the byte length of the postings (u64)
@@ -35,14 +33,16 @@
 //! pass the structural range checks — fails the load with
 //! [`PoolIoError::Format`]. Any other version is rejected.
 //!
-//! Each piece stores its inverted index (node → the sample ids whose RR
-//! set holds it) rather than leaving the reader to rebuild it: every
-//! solve walks that index, and rebuilding it is a scatter over every
-//! node of every set, the bulk of a decode. Postings ascend within a
-//! node, so their gaps are small (in a pool shaped like `wirebench`'s
-//! `spill` pools — 300 nodes, 2 400 edges, θ = 20 000, ℓ = 3 — over
-//! 99.6% are below 128 and take one byte), and the index costs about a
-//! quarter of what raw `u32` postings would.
+//! Each piece is stored as its inverted index (node → the sample ids
+//! whose RR set holds it) and nothing else. Every solver reads a pool
+//! only through that index, and a set's members are exactly the nodes
+//! whose postings hold its id, so the forward sets (per-set offsets and
+//! nodes) would only repeat it, in walk order, at about three times the
+//! bytes. Postings ascend within a node, so their gaps are small (in a
+//! pool shaped like `wirebench`'s `spill` pools — 300 nodes, 2 400
+//! edges, θ = 20 000, ℓ = 3 — over 99.6% are below 128 and take one
+//! byte), and the index costs about a quarter of what raw `u32`
+//! postings would.
 //!
 //! Reading is two steps, [`RawPool::read`] and [`RawPool::decode`]:
 //!
@@ -55,10 +55,9 @@
 //! 2. `decode` runs one CRC-32 over the arrays as read (the
 //!    carry-less-multiply kernel of [`oipa_graph::checksum`] where the
 //!    CPU has it), decodes the postings in one sequential pass, and runs
-//!    the structural checks: roots and node ids below `n`, offsets that
-//!    start at 0 and never decrease, index offsets that do the same and
-//!    end at the node count, sample ids below θ, and postings that end
-//!    exactly at their last byte.
+//!    the structural checks: roots below `n`, index offsets that start
+//!    at 0 and never decrease, no more postings than bytes, sample ids
+//!    below θ, and postings that end exactly at their last byte.
 //!
 //! [`read_pool`] runs both over a byte slice, and the store runs them
 //! over its file seam: one decoder either way.
@@ -71,9 +70,9 @@ use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"OIPAMRRP";
-/// The only version read or written: v3 stores each piece's inverted
-/// index as delta-varint postings.
-const VERSION: u32 = 3;
+/// The only version read or written: v4 stores each piece as its
+/// inverted index alone, with delta-varint postings.
+const VERSION: u32 = 4;
 /// Magic, version, n, θ and ℓ.
 const HEADER_LEN: usize = 28;
 
@@ -109,7 +108,7 @@ fn invalid(message: impl Into<String>) -> PoolIoError {
     PoolIoError::Format(message.into())
 }
 
-/// A pool ready to write in format v3: its postings are encoded, so the
+/// A pool ready to write in format v4: its postings are encoded, so the
 /// exact encoded length is known before a byte is written, and a caller
 /// can size its buffer once.
 pub struct PoolEncoding<'a> {
@@ -134,11 +133,7 @@ impl<'a> PoolEncoding<'a> {
         let pieces: usize = self
             .postings
             .iter()
-            .enumerate()
-            .map(|(j, postings)| {
-                let nodes = self.pool.piece_store(j).total_nodes();
-                (theta + 1) * 8 + nodes * 4 + (n + 1) * 8 + 8 + postings.len()
-            })
+            .map(|postings| (n + 1) * 8 + 8 + postings.len())
             .sum();
         HEADER_LEN + theta * 4 + pieces + 4
     }
@@ -160,10 +155,7 @@ impl<'a> PoolEncoding<'a> {
         write_u32(&mut w, pool.ell() as u32)?;
         write_words(&mut w, pool.roots())?;
         for (j, postings) in self.postings.iter().enumerate() {
-            let store = pool.piece_store(j);
-            write_words(&mut w, store.raw_offsets())?;
-            write_words(&mut w, store.raw_nodes())?;
-            write_words(&mut w, store.raw_idx_offsets())?;
+            write_words(&mut w, pool.piece_store(j).raw_idx_offsets())?;
             write_u64(&mut w, postings.len() as u64)?;
             w.write_all(postings)?;
         }
@@ -175,13 +167,13 @@ impl<'a> PoolEncoding<'a> {
     }
 }
 
-/// Writes a pool to a writer in format v3 (see [`PoolEncoding::write`]).
+/// Writes a pool to a writer in format v4 (see [`PoolEncoding::write`]).
 /// Returns the CRC-32 the trailer records.
 pub fn write_pool<W: Write>(pool: &MrrPool, writer: W) -> Result<u32, PoolIoError> {
     PoolEncoding::new(pool).write(writer)
 }
 
-/// Reads a pool from its encoded bytes. Accepts format v3 only and
+/// Reads a pool from its encoded bytes. Accepts format v4 only and
 /// verifies its CRC-32 trailer; `bytes` must be exactly one pool,
 /// trailer included.
 ///
@@ -211,8 +203,6 @@ pub struct RawPool {
 /// One piece's arrays as read (see [`RawPool`]).
 #[derive(Debug)]
 struct RawPiece {
-    offsets: Vec<u64>,
-    nodes: Vec<u32>,
     idx_offsets: Vec<u64>,
     postings_len: [u8; 8],
     postings: Vec<u8>,
@@ -225,7 +215,7 @@ impl RawPool {
     /// is allocated or read, so nothing is allocated past `len`, and the
     /// source is never read past it. Errors of `src` are
     /// [`PoolIoError::Io`]; lengths that do not add up to `len`, a bad
-    /// magic and a version other than v3 are [`PoolIoError::Format`].
+    /// magic and a version other than v4 are [`PoolIoError::Format`].
     ///
     /// Each array is one `read_exact` call on `src`.
     pub fn read<R: Read>(src: R, len: u64) -> Result<RawPool, PoolIoError> {
@@ -256,20 +246,16 @@ impl RawPool {
             return Err(invalid(format!("θ = {theta} overflows u32 sample ids")));
         }
         let roots = src.words(theta)?;
-        // Each piece reads at least its offsets, so a corrupt ℓ ends the
-        // loop at the end of the input, not after ℓ passes.
+        // Each piece reads at least its index offsets and postings
+        // length, so a corrupt ℓ ends the loop at the end of the input,
+        // not after ℓ passes.
         let mut pieces = Vec::new();
         for _ in 0..ell {
-            let offsets: Vec<u64> = src.words(theta.checked_add(1).ok_or_else(truncated)?)?;
-            let total = offsets.last().map_or(0, |&last| u64::from_le(last));
-            let nodes = src.words(total)?;
             let idx_offsets = src.words(n + 1)?;
             let mut postings_len = [0u8; 8];
             src.fill(&mut postings_len)?;
             let postings = src.words(u64::from_le_bytes(postings_len))?;
             pieces.push(RawPiece {
-                offsets,
-                nodes,
                 idx_offsets,
                 postings_len,
                 postings,
@@ -306,8 +292,6 @@ impl RawPool {
         crc.update(&self.header);
         crc.update(bytes_of(&self.roots));
         for piece in &self.pieces {
-            crc.update(bytes_of(&piece.offsets));
-            crc.update(bytes_of(&piece.nodes));
             crc.update(bytes_of(&piece.idx_offsets));
             crc.update(&piece.postings_len);
             crc.update(&piece.postings);
@@ -328,32 +312,15 @@ impl RawPool {
         }
         let mut stores = Vec::with_capacity(self.pieces.len());
         for mut piece in self.pieces {
-            from_le(&mut piece.offsets);
-            from_le(&mut piece.nodes);
             from_le(&mut piece.idx_offsets);
-            if piece.offsets[0] != 0 {
-                return Err(invalid("offsets do not start at 0"));
-            }
-            if piece.offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(invalid("offsets not monotone"));
-            }
-            if let Some(v) = piece.nodes.iter().max().filter(|&&v| v as usize >= n) {
-                return Err(invalid(format!("node {v} out of range")));
-            }
             let idx = &piece.idx_offsets;
-            if idx[0] != 0
-                || idx.windows(2).any(|w| w[0] > w[1])
-                || idx[n] != piece.nodes.len() as u64
-            {
-                return Err(invalid(
-                    "index offsets do not run from 0 up to the node count",
-                ));
+            if idx[0] != 0 || idx.windows(2).any(|w| w[0] > w[1]) {
+                return Err(invalid("index offsets do not start at 0 and ascend"));
             }
             let idx_samples = decode_postings(&piece.postings, idx, self.theta)?;
             drop(piece.postings);
             stores.push(RrStore::from_parts(
-                piece.offsets,
-                piece.nodes,
+                self.theta as usize,
                 piece.idx_offsets,
                 idx_samples,
             ));
@@ -620,10 +587,8 @@ mod tests {
         assert_eq!(back.node_count(), pool.node_count());
         assert_eq!(back.roots(), pool.roots());
         assert_eq!(back.fingerprint(), pool.fingerprint());
+        assert_eq!(back.memory_bytes(), pool.memory_bytes());
         for j in 0..pool.ell() {
-            for i in (0..pool.theta()).step_by(617) {
-                assert_eq!(back.rr_set(j, i), pool.rr_set(j, i));
-            }
             for v in 0..5u32 {
                 assert_eq!(back.samples_containing(j, v), pool.samples_containing(j, v));
             }
@@ -638,15 +603,16 @@ mod tests {
         ));
     }
 
-    /// Only v2 reads: a future version and v1 (no checksum trailer, so
-    /// nothing could vouch for its bytes) are both format errors.
+    /// Only v4 reads: a future version, v3 (which also stored the forward
+    /// sets) and v1 (no checksum trailer, so nothing could vouch for its
+    /// bytes) are all format errors.
     #[test]
     fn future_versions_rejected() {
         let (g, table, campaign) = fig1();
         let pool = MrrPool::generate(&g, &table, &campaign, 50, 3);
         let mut buf = Vec::new();
         write_pool(&pool, &mut buf).unwrap();
-        for version in [99u32, 1] {
+        for version in [99u32, 3, 1] {
             buf[8..12].copy_from_slice(&version.to_le_bytes());
             let err = read_pool(&buf[..]).unwrap_err();
             assert!(matches!(err, PoolIoError::Format(_)), "{err}");
@@ -674,7 +640,7 @@ mod tests {
         assert_eq!(oipa_graph::checksum::crc32(&buf[..buf.len() - 4]), crc);
     }
 
-    /// A v2 file cut at *every* 64-byte boundary of a θ = 500 pool, and
+    /// A v4 file cut at *every* 64-byte boundary of a θ = 500 pool, and
     /// at every byte of a θ = 50 pool, must fail with a `Format` error —
     /// never a panic, an `Io` error, or a silently short pool: the store
     /// quarantines `Format` errors as corruption.
@@ -734,37 +700,17 @@ mod tests {
         assert!(read_pool(&buf).is_ok());
     }
 
-    /// A piece whose offsets start past 0 leaves its first nodes outside
-    /// every set, yet the index counted them: node 0's postings would end
-    /// in a slot the scatter never wrote, naming set 0. A valid checksum
-    /// must not get such a pool loaded.
-    #[test]
-    fn offsets_not_starting_at_zero_are_a_format_error() {
-        let (g, table, campaign) = fig1();
-        let theta = 50;
-        let pool = MrrPool::generate(&g, &table, &campaign, theta, 9);
-        let mut buf = Vec::new();
-        write_pool(&pool, &mut buf).unwrap();
-        let first_offset = 28 + 4 * theta;
-        buf[first_offset..first_offset + 8].copy_from_slice(&1u64.to_le_bytes());
-        let payload = buf.len() - 4;
-        let crc = oipa_graph::checksum::crc32(&buf[..payload]);
-        buf[payload..].copy_from_slice(&crc.to_le_bytes());
-        let err = read_pool(&buf).unwrap_err();
-        assert!(matches!(err, PoolIoError::Format(_)), "{err}");
-        assert!(err.to_string().contains("start at 0"), "{err}");
-    }
-
     /// The encoding is fixed: these lengths and CRCs are what the
-    /// format-v3 writer produces for these pools, and any change to the
+    /// format-v4 writer produces for these pools, and any change to the
     /// bytes `write_pool` produces moves them. The fingerprints pin the
-    /// pools themselves: they are the ones every earlier format encoded.
+    /// pools themselves; the sets they hold are pinned across formats by
+    /// `index_digest_is_pinned`.
     #[test]
     fn write_pool_output_is_pinned() {
         let (g, table, campaign) = fig1();
         for (theta, seed, fingerprint, len, expected) in [
-            (300, 5, 0xDEC5_4964_7931_4F86, 12_655, 0x22ED_D105),
-            (5_000, 9, 0x1F62_4EA1_4A04_6CBA, 204_630, 0x81F9_25E9),
+            (300, 5, 0x5A25_CED2_7F66_6E67, 2_643, 0x4AAF_45B3),
+            (5_000, 9, 0x829A_F8F5_ABB8_BC74, 41_038, 0xF426_5BFC),
         ] {
             let pool = MrrPool::generate(&g, &table, &campaign, theta, seed);
             assert_eq!(pool.fingerprint(), fingerprint, "θ {theta}");
@@ -858,12 +804,12 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_node_id_detected() {
+    fn corrupt_root_detected() {
         let (g, table, campaign) = fig1();
         let pool = MrrPool::generate(&g, &table, &campaign, 100, 9);
         let mut buf = Vec::new();
         write_pool(&pool, &mut buf).unwrap();
-        // Overwrite piece 0's last node with an out-of-range id: the
+        // Overwrite the last root with an out-of-range node id: the
         // checksum catches it…
         let at = spans(&buf)[0].idx - 4;
         buf[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -890,8 +836,7 @@ mod tests {
         let mut at = HEADER_LEN + 4 * theta;
         (0..ell)
             .map(|_| {
-                let total = u64_at(at + 8 * theta);
-                let idx = at + 8 * (theta + 1) + 4 * total;
+                let idx = at;
                 let postings_len = idx + 8 * (n + 1);
                 let postings = postings_len + 8;
                 let end = postings + u64_at(postings_len);
@@ -994,19 +939,21 @@ mod tests {
         let get =
             |buf: &[u8], v: usize| u64::from_le_bytes(buf[at(v)..at(v) + 8].try_into().unwrap());
         let n = 5;
-        let cases: [(usize, u64); 3] = [
+        let cases: [(usize, u64, &str); 4] = [
             // Not starting at 0.
-            (0, 1),
+            (0, 1, "index offsets"),
             // Decreasing: node 1's postings end before they begin.
-            (2, get(&buf, 1).wrapping_sub(1)),
-            // Not ending at the node count.
-            (n, get(&buf, n) + 1),
+            (2, get(&buf, 1).wrapping_sub(1), "index offsets"),
+            // Ending past the postings the bytes hold (one byte each here).
+            (n, get(&buf, n) + 1, "cannot fit"),
+            // Ending short of them: bytes are left after the last id.
+            (n, get(&buf, n) - 1, "after the last sample id"),
         ];
-        for (v, value) in cases {
+        for (v, value, expect) in cases {
             let mut bad = buf.clone();
             bad[at(v)..at(v) + 8].copy_from_slice(&value.to_le_bytes());
             reseal(&mut bad);
-            format_error(&bad, "index offsets");
+            format_error(&bad, expect);
         }
     }
 
@@ -1040,7 +987,7 @@ mod tests {
             }
             idx_offsets.push(ids.len() as u64);
         }
-        let store = RrStore::from_parts(vec![0], Vec::new(), idx_offsets.clone(), ids.clone());
+        let store = RrStore::from_parts(u32::MAX as usize, idx_offsets.clone(), ids.clone());
         let bytes = encode_postings(&store);
         // Gaps of widths 1, 1, 2, 3, 4, 5 | none | 1, 3 | 5.
         assert_eq!(bytes.len(), 1 + 1 + 2 + 3 + 4 + 5 + 1 + 3 + 5);

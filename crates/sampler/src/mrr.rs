@@ -6,7 +6,7 @@
 //! Eqn. (6) an unbiased estimator of the adoption utility (Lemma 2).
 
 use crate::edge_prob::PieceProbs;
-use crate::rr::{sample_rr_set, LiveInEdges, RrStore};
+use crate::rr::{sample_rr_set, LiveInEdges, RrStore, SetRun};
 use oipa_graph::traverse::BfsScratch;
 use oipa_graph::{DiGraph, NodeId};
 use oipa_topics::{Campaign, EdgeTopicProbs};
@@ -14,8 +14,10 @@ use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
+use std::sync::Mutex;
 
-/// θ MRR samples for an ℓ-piece campaign.
+/// θ MRR samples for an ℓ-piece campaign, kept as each piece's inverted
+/// node → sample-ids index (see [`RrStore`]).
 ///
 /// ```
 /// use oipa_sampler::MrrPool;
@@ -25,7 +27,7 @@ use rayon::prelude::*;
 /// assert_eq!(pool.theta(), 1_000);
 /// assert_eq!(pool.ell(), 2);
 /// // Every sample's RR set for a piece contains its root.
-/// assert!(pool.rr_set(0, 0).contains(&pool.roots()[0]));
+/// assert!(pool.samples_containing(0, pool.roots()[0]).contains(&0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct MrrPool {
@@ -98,7 +100,8 @@ impl MrrPool {
     /// Output is **bitwise deterministic per seed regardless of thread
     /// count**: each (piece, walk) pair derives an independent RNG stream
     /// from the base seed (see `walk_rng`), work is chunked only for
-    /// parallel scheduling, and results are reassembled in job order.
+    /// parallel scheduling, and each piece's index numbers the sets of
+    /// its chunks in chunk order.
     /// Per-walk streams also make pools surgically repairable after a
     /// graph delta — see [`MrrPool::repair`].
     pub fn try_generate(
@@ -150,19 +153,27 @@ impl MrrPool {
         let jobs: Vec<(usize, usize)> = (0..ell)
             .flat_map(|j| (0..chunk_count).map(move |ci| (j, ci)))
             .collect();
-        let chunk_stores: Vec<RrStore> = jobs
+        let mut runs = jobs
             .par_iter()
             .map(|&(j, ci)| {
                 let lo = ci * CHUNK;
                 let hi = (lo + CHUNK).min(roots.len());
                 generate_chunk(graph, &lives[j], &roots[lo..hi], seed, j, ci)
             })
-            .collect();
+            .collect::<Vec<SetRun>>()
+            .into_iter();
 
-        let pieces: Vec<&[RrStore]> = chunk_stores.chunks(chunk_count).collect();
+        // Each piece's index is built from its chunks, which its job takes
+        // and drops as soon as the index is built.
+        let pieces: Vec<Mutex<Vec<SetRun>>> = (0..ell)
+            .map(|_| Mutex::new(runs.by_ref().take(chunk_count).collect()))
+            .collect();
         let stores: Vec<RrStore> = pieces
             .par_iter()
-            .map(|chunks| RrStore::concat(chunks, graph.node_count()))
+            .map(|runs| {
+                let runs = std::mem::take(&mut *runs.lock().expect("one job per piece"));
+                RrStore::from_runs(runs, graph.node_count())
+            })
             .collect();
         Ok(MrrPool {
             n: graph.node_count() as u32,
@@ -236,12 +247,6 @@ impl MrrPool {
         }
     }
 
-    /// RR set `R_i^j`.
-    #[inline]
-    pub fn rr_set(&self, piece: usize, sample: usize) -> &[NodeId] {
-        self.stores[piece].set(sample)
-    }
-
     /// Sample ids `i` with `v ∈ R_i^j` — the inverted index used by every
     /// marginal-gain evaluation in the solvers.
     #[inline]
@@ -278,7 +283,7 @@ impl MrrPool {
     }
 
     /// A content fingerprint over the node count, roots and every piece's
-    /// raw RR-set arrays. Two pools fingerprint equal iff they are
+    /// inverted index. Two pools fingerprint equal iff they are
     /// bitwise-identical, so caches keyed by fingerprint (the service's
     /// `@external:` arena keys, the persistent store) never alias two
     /// different externally loaded pools.
@@ -291,29 +296,15 @@ impl MrrPool {
             h.write_u32(r);
         }
         for store in &self.stores {
-            h.write_u64(store.raw_offsets().len() as u64);
-            for &off in store.raw_offsets() {
+            h.write_u64(store.raw_idx_offsets().len() as u64);
+            for &off in store.raw_idx_offsets() {
                 h.write_u64(off);
             }
-            for &v in store.raw_nodes() {
-                h.write_u32(v);
+            for &i in store.raw_idx_samples() {
+                h.write_u32(i);
             }
         }
         h.finish()
-    }
-
-    /// Rebuilds every piece's inverted index from its RR sets and
-    /// compares it with the stored one. A decoded pool carries the index
-    /// its writer stored, which the checksum vouches for but nothing
-    /// else re-derives; this is the deep check `oipa-cli store verify`
-    /// runs. Names the first piece whose index differs.
-    pub fn check_index(&self) -> Result<(), String> {
-        match (0..self.ell()).find(|&j| !self.stores[j].index_matches_sets(self.node_count())) {
-            Some(j) => Err(format!(
-                "piece {j}: the stored inverted index is not the one its RR sets rebuild"
-            )),
-            None => Ok(()),
-        }
     }
 
     /// Walk ids (sorted ascending) whose RR set for `piece` contains any
@@ -324,9 +315,9 @@ impl MrrPool {
     /// only ever iterates `in_edges(v)` of *visited* nodes, and a delta
     /// only changes the in-edge rows of its dirty targets, so a walk's
     /// traversal (and draw sequence) changes iff its visited set — which
-    /// is precisely its stored RR set — touches a dirty target. The
-    /// pool's inverted index answers that membership query directly; it
-    /// doubles as the per-walk provenance structure.
+    /// is precisely its RR set — touches a dirty target. The pool's
+    /// inverted index answers that membership query directly; it doubles
+    /// as the per-walk provenance structure.
     pub fn dead_walks(&self, piece: usize, dirty_targets: &[NodeId]) -> Vec<u32> {
         let mut dead = vec![false; self.theta()];
         for &v in dirty_targets {
@@ -360,11 +351,12 @@ impl MrrPool {
 
     /// Builds the post-delta pool from this (stale) one: resamples *only*
     /// the dead walks (per piece) against the post-delta inputs and
-    /// splices them into copies of the per-piece stores, patching the
-    /// inverted indexes rather than rebuilding them. Borrowing `self`
-    /// means a caller holding the stale pool behind an `Arc` pays no
-    /// intermediate full-pool clone — clean pieces are copied once, dirty
-    /// pieces are written once, straight into their repaired form.
+    /// splices their new sets into copies of the per-piece indexes: each
+    /// node's postings lose the dead ids and gain those of the new sets
+    /// that hold it. Borrowing `self` means a caller holding the stale
+    /// pool behind an `Arc` pays no intermediate full-pool clone — clean
+    /// pieces are copied once, dirty pieces are written once, straight
+    /// into their repaired form.
     ///
     /// `seed` must be the seed the pool was originally generated with and
     /// `dirty_targets` the union of
@@ -452,7 +444,7 @@ impl MrrPool {
                 .into_iter()
                 .flatten()
                 .collect();
-            stores.push(self.stores[j].spliced(&replacements, graph.node_count()));
+            stores.push(self.stores[j].spliced(&replacements));
         }
         Ok((
             MrrPool {
@@ -470,8 +462,8 @@ impl MrrPool {
     }
 
     /// Approximate resident heap size in bytes (roots plus every piece's
-    /// store, including inverted indexes). The `PlannerService` pool arena
-    /// bounds its cache by this number.
+    /// inverted index). The `PlannerService` pool arena bounds its cache
+    /// by this number.
     pub fn memory_bytes(&self) -> usize {
         self.roots.len() * std::mem::size_of::<NodeId>()
             + self.stores.iter().map(|s| s.memory_bytes()).sum::<usize>()
@@ -505,20 +497,17 @@ fn generate_chunk(
     seed: u64,
     piece: usize,
     chunk_index: usize,
-) -> RrStore {
+) -> SetRun {
     let base = chunk_index * CHUNK;
     let mut scratch = BfsScratch::new(graph.node_count());
     let mut set_buf: Vec<NodeId> = Vec::new();
-    let mut offsets = Vec::with_capacity(roots.len() + 1);
-    let mut nodes: Vec<NodeId> = Vec::new();
-    offsets.push(0u64);
+    let mut run = SetRun::with_capacity(roots.len());
     for (k, &root) in roots.iter().enumerate() {
         let mut rng = walk_rng(seed, piece, base + k);
         sample_rr_set(&mut rng, live, root, &mut scratch, &mut set_buf);
-        nodes.extend_from_slice(&set_buf);
-        offsets.push(nodes.len() as u64);
+        run.push(&set_buf);
     }
-    RrStore::from_raw(offsets, nodes)
+    run
 }
 
 #[cfg(test)]
@@ -553,6 +542,48 @@ mod tests {
         assert_eq!(reach, vec![1, 2, 3, 4]);
     }
 
+    /// Every root and posting list of two pools, and their fingerprints.
+    fn assert_same_pool(a: &MrrPool, b: &MrrPool, label: &str) {
+        assert_eq!(a.roots(), b.roots(), "{label}: roots");
+        assert_eq!(a.ell(), b.ell(), "{label}: ℓ");
+        for j in 0..a.ell() {
+            for v in 0..a.node_count() as NodeId {
+                assert_eq!(
+                    a.samples_containing(j, v),
+                    b.samples_containing(j, v),
+                    "{label}: postings of piece {j} node {v}"
+                );
+            }
+        }
+        assert_eq!(a.fingerprint(), b.fingerprint(), "{label}: fingerprint");
+    }
+
+    /// The RR sets a pool's walks drew, per piece, replayed from their
+    /// per-walk streams.
+    fn replayed_sets(
+        graph: &DiGraph,
+        table: &EdgeTopicProbs,
+        campaign: &Campaign,
+        pool: &MrrPool,
+        seed: u64,
+    ) -> Vec<Vec<Vec<NodeId>>> {
+        let mut scratch = BfsScratch::new(graph.node_count());
+        (0..pool.ell())
+            .map(|j| {
+                let probs = PieceProbs::new(table, &campaign.piece(j).topics);
+                let live = LiveInEdges::new(graph, &probs);
+                (0..pool.theta())
+                    .map(|i| {
+                        let mut set = Vec::new();
+                        let mut rng = walk_rng(seed, j, i);
+                        sample_rr_set(&mut rng, &live, pool.roots()[i], &mut scratch, &mut set);
+                        set
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn mrr_pool_structure() {
         let (g, table, campaign) = fig1();
@@ -565,9 +596,10 @@ mod tests {
         // exactly the backward closure {c, b, a}.
         for i in 0..pool.theta() {
             if pool.roots()[i] == 2 {
-                let mut s = pool.rr_set(0, i).to_vec();
-                s.sort_unstable();
-                assert_eq!(s, vec![0, 1, 2]);
+                for v in 0..5 {
+                    let member = pool.samples_containing(0, v).contains(&(i as u32));
+                    assert_eq!(member, v <= 2, "set {i} node {v}");
+                }
             }
         }
     }
@@ -577,16 +609,11 @@ mod tests {
         let (g, table, campaign) = fig1();
         let a = MrrPool::generate(&g, &table, &campaign, 5000, 11);
         let b = MrrPool::generate_parallel(&g, &table, &campaign, 5000, 11, 3);
-        assert_eq!(a.roots(), b.roots());
-        for j in 0..2 {
-            for i in (0..5000).step_by(501) {
-                assert_eq!(a.rr_set(j, i), b.rr_set(j, i));
-            }
-        }
+        assert_same_pool(&a, &b, "3 threads");
     }
 
     /// The acceptance bar for parallel sampling: one seed must produce a
-    /// bitwise-identical pool — every root and every RR set of every
+    /// bitwise-identical pool — every root and every posting of every
     /// piece — whether generated with 1, 2, or many threads.
     #[test]
     fn thread_count_invariance_exhaustive() {
@@ -596,29 +623,24 @@ mod tests {
         let reference = MrrPool::generate_parallel(&g, &table, &campaign, theta, 99, 1);
         for threads in [2, 3, 8] {
             let pool = MrrPool::generate_parallel(&g, &table, &campaign, theta, 99, threads);
-            assert_eq!(reference.roots(), pool.roots(), "{threads} threads");
-            for j in 0..reference.ell() {
-                for i in 0..theta {
-                    assert_eq!(
-                        reference.rr_set(j, i),
-                        pool.rr_set(j, i),
-                        "piece {j} sample {i} with {threads} threads"
-                    );
-                }
-            }
+            assert_same_pool(&reference, &pool, &format!("{threads} threads"));
         }
     }
 
+    /// The index holds exactly the sets the walks drew, across several
+    /// chunks: a node lists a sample iff that sample's set holds it.
     #[test]
     fn inverted_index_matches_membership() {
         let (g, table, campaign) = fig1();
-        let pool = MrrPool::generate(&g, &table, &campaign, 300, 17);
-        for j in 0..pool.ell() {
+        let (theta, seed) = (2 * CHUNK + 300, 17);
+        let pool = MrrPool::generate(&g, &table, &campaign, theta, seed);
+        let sets = replayed_sets(&g, &table, &campaign, &pool, seed);
+        for (j, piece_sets) in sets.iter().enumerate() {
             for v in 0..5u32 {
                 let via: std::collections::HashSet<u32> =
                     pool.samples_containing(j, v).iter().copied().collect();
-                for i in 0..pool.theta() {
-                    assert_eq!(pool.rr_set(j, i).contains(&v), via.contains(&(i as u32)));
+                for (i, set) in piece_sets.iter().enumerate() {
+                    assert_eq!(set.contains(&v), via.contains(&(i as u32)));
                 }
             }
         }
@@ -651,30 +673,18 @@ mod tests {
         assert!(outcome.sets_resampled > 0);
         assert!(outcome.sets_resampled < outcome.sets_total);
         let cold = MrrPool::generate(&app.graph, &new_table, &campaign, 4000, seed);
-        assert_eq!(pool.roots(), cold.roots());
-        assert_eq!(pool.fingerprint(), cold.fingerprint());
-        for j in 0..pool.ell() {
-            for i in 0..pool.theta() {
-                assert_eq!(pool.rr_set(j, i), cold.rr_set(j, i), "piece {j} walk {i}");
-            }
-            for v in 0..5u32 {
-                assert_eq!(
-                    pool.samples_containing(j, v),
-                    cold.samples_containing(j, v),
-                    "inverted index piece {j} node {v}"
-                );
-            }
-        }
+        assert_same_pool(&pool, &cold, "repaired");
     }
 
     #[test]
     fn dead_walk_classification_is_exact() {
         let (g, table, campaign) = fig1();
         let pool = MrrPool::generate(&g, &table, &campaign, 1000, 5);
-        for j in 0..pool.ell() {
+        let sets = replayed_sets(&g, &table, &campaign, &pool, 5);
+        for (j, piece_sets) in sets.iter().enumerate() {
             let dead = pool.dead_walks(j, &[1]);
-            for i in 0..pool.theta() {
-                let touches = pool.rr_set(j, i).contains(&1);
+            for (i, set) in piece_sets.iter().enumerate() {
+                let touches = set.contains(&1);
                 assert_eq!(dead.binary_search(&(i as u32)).is_ok(), touches);
             }
         }
@@ -703,11 +713,11 @@ mod tests {
     fn roots_shared_across_pieces() {
         let (g, table, campaign) = fig1();
         let pool = MrrPool::generate(&g, &table, &campaign, 200, 29);
-        for i in 0..pool.theta() {
-            let root = pool.roots()[i];
+        for (i, &root) in pool.roots().iter().enumerate() {
             // The root always belongs to both of its RR sets.
-            assert!(pool.rr_set(0, i).contains(&root));
-            assert!(pool.rr_set(1, i).contains(&root));
+            for j in 0..pool.ell() {
+                assert!(pool.samples_containing(j, root).contains(&(i as u32)));
+            }
         }
     }
 }

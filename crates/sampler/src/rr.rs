@@ -8,37 +8,67 @@ use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use rayon::prelude::*;
 
-/// Flat storage for θ RR sets plus the inverted node→samples index.
+/// θ RR sets as their inverted node→samples index, the one structure
+/// every coverage step walks.
 ///
-/// * `offsets[i]..offsets[i+1]` delimits the nodes of set `i` in `nodes`.
-/// * `idx_offsets[v]..idx_offsets[v+1]` delimits, in `idx_samples`, the
-///   sample ids whose RR set contains `v` — the structure every greedy
-///   coverage step walks.
+/// `idx_offsets[v]..idx_offsets[v+1]` delimits, in `idx_samples`, the
+/// ids of the sets that contain `v`, ascending. The sets themselves are
+/// not kept: sampling writes them in runs of consecutive walks, which
+/// are indexed and dropped. A set's members are the nodes whose postings
+/// hold its id, so the index keeps everything a set is but the order its
+/// walk visited them in.
 #[derive(Debug, Clone, Default)]
 pub struct RrStore {
-    offsets: Vec<u64>,
-    nodes: Vec<NodeId>,
+    theta: usize,
     idx_offsets: Vec<u64>,
     idx_samples: Vec<u32>,
+}
+
+/// The forward RR sets of consecutive walks, in walk order, as sampling
+/// writes them.
+#[derive(Debug, Default)]
+pub(crate) struct SetRun {
+    /// `ends[k]` is one past set k's last node in `nodes`.
+    ends: Vec<usize>,
+    nodes: Vec<NodeId>,
+}
+
+impl SetRun {
+    /// An empty run with room for `sets` sets.
+    pub(crate) fn with_capacity(sets: usize) -> SetRun {
+        SetRun {
+            ends: Vec::with_capacity(sets),
+            nodes: Vec::new(),
+        }
+    }
+
+    /// Appends the next walk's set.
+    pub(crate) fn push(&mut self, set: &[NodeId]) {
+        self.nodes.extend_from_slice(set);
+        self.ends.push(self.nodes.len());
+    }
+
+    /// Calls `f(set)` for each set, in walk order.
+    fn for_each_set(&self, mut f: impl FnMut(&[NodeId])) {
+        let mut start = 0;
+        for &end in &self.ends {
+            f(&self.nodes[start..end]);
+            start = end;
+        }
+    }
 }
 
 impl RrStore {
     /// Number of RR sets θ.
     #[inline]
     pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.theta
     }
 
     /// Whether the store holds no sets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The nodes of RR set `i`.
-    #[inline]
-    pub fn set(&self, i: usize) -> &[NodeId] {
-        &self.nodes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        self.theta == 0
     }
 
     /// Sample ids whose RR set contains `v`.
@@ -48,65 +78,51 @@ impl RrStore {
             [self.idx_offsets[v as usize] as usize..self.idx_offsets[v as usize + 1] as usize]
     }
 
-    /// Total nodes across all sets (Σ|R_i|).
+    /// Total nodes across all sets (Σ|R_i|), one posting each.
     #[inline]
     pub fn total_nodes(&self) -> usize {
-        self.nodes.len()
+        self.idx_samples.len()
     }
 
-    /// Approximate resident heap size in bytes: CSR arrays plus the
-    /// inverted index. Pool caches (e.g. the `PlannerService` arena) use
-    /// this to enforce a byte budget.
+    /// Approximate resident heap size in bytes: the inverted index. Pool
+    /// caches (e.g. the `PlannerService` arena) use this to enforce a
+    /// byte budget.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-            + self.nodes.len() * std::mem::size_of::<NodeId>()
-            + self.idx_offsets.len() * std::mem::size_of::<u64>()
+        self.idx_offsets.len() * std::mem::size_of::<u64>()
             + self.idx_samples.len() * std::mem::size_of::<u32>()
     }
 
-    /// Lays out the inverted index from the sets: a count of each node's
-    /// occurrences and a prefix sum give each node's postings range, then
-    /// one pass over the sets in id order fills them, so every node's
-    /// postings ascend.
-    pub(crate) fn build_index(&mut self, n: usize) {
+    /// Indexes the sets of `runs`, taken in order as sets 0, 1, … over
+    /// `n` nodes, and drops them: a count of each node's occurrences and
+    /// a prefix sum give each node's postings range, then one pass over
+    /// the sets in id order fills them, so every node's postings ascend.
+    pub(crate) fn from_runs(runs: Vec<SetRun>, n: usize) -> RrStore {
         let mut counts = vec![0u64; n + 1];
-        for &v in &self.nodes {
-            counts[v as usize + 1] += 1;
+        for run in &runs {
+            for &v in &run.nodes {
+                counts[v as usize + 1] += 1;
+            }
         }
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
-        let mut idx_samples = vec![0u32; self.nodes.len()];
-        let mut cursor = counts.clone();
-        for i in 0..self.len() {
-            let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-            for &v in &self.nodes[lo..hi] {
-                let slot = cursor[v as usize];
-                idx_samples[slot as usize] = i as u32;
-                cursor[v as usize] += 1;
-            }
+        let mut idx_samples = vec![0u32; counts[n] as usize];
+        let mut cursor = counts[..n].to_vec();
+        let mut id = 0u32;
+        for run in &runs {
+            run.for_each_set(|set| {
+                for &v in set {
+                    idx_samples[cursor[v as usize] as usize] = id;
+                    cursor[v as usize] += 1;
+                }
+                id = id.wrapping_add(1);
+            });
         }
-        self.idx_offsets = counts;
-        self.idx_samples = idx_samples;
-    }
-
-    /// Whether the stored inverted index is exactly the one
-    /// [`RrStore::build_index`] lays out from the sets over `n` nodes.
-    /// Every node id must be below `n`.
-    pub(crate) fn index_matches_sets(&self, n: usize) -> bool {
-        let mut rebuilt = RrStore::from_raw(self.offsets.clone(), self.nodes.clone());
-        rebuilt.build_index(n);
-        rebuilt.idx_offsets == self.idx_offsets && rebuilt.idx_samples == self.idx_samples
-    }
-
-    /// Raw CSR offsets (for serialization).
-    pub(crate) fn raw_offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// Raw node array (for serialization).
-    pub(crate) fn raw_nodes(&self) -> &[NodeId] {
-        &self.nodes
+        RrStore {
+            theta: runs.iter().map(|run| run.ends.len()).sum(),
+            idx_offsets: counts,
+            idx_samples,
+        }
     }
 
     /// Raw inverted-index offsets (for serialization).
@@ -119,53 +135,34 @@ impl RrStore {
         &self.idx_samples
     }
 
-    /// Builds an indexed store from decoded arrays whose shapes the
-    /// decoder has checked.
+    /// Builds a store of `theta` sets from decoded index arrays whose
+    /// shapes the decoder has checked.
     pub(crate) fn from_parts(
-        offsets: Vec<u64>,
-        nodes: Vec<NodeId>,
+        theta: usize,
         idx_offsets: Vec<u64>,
         idx_samples: Vec<u32>,
     ) -> RrStore {
         RrStore {
-            offsets,
-            nodes,
+            theta,
             idx_offsets,
             idx_samples,
         }
     }
 
-    /// Builds a store from raw CSR arrays without an inverted index (used
-    /// for chunks that will be concatenated; the final index is built by
-    /// [`RrStore::concat`]).
-    pub(crate) fn from_raw(offsets: Vec<u64>, nodes: Vec<NodeId>) -> RrStore {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(*offsets.last().expect("non-empty") as usize, nodes.len());
-        RrStore {
-            offsets,
-            nodes,
-            idx_offsets: Vec::new(),
-            idx_samples: Vec::new(),
-        }
-    }
-
     /// Returns a copy of this store with the sets named in `replacements`
-    /// (sorted ascending by set id, each id at most once) replaced and
-    /// the inverted index patched.
+    /// (sorted ascending by set id, each id at most once) replaced: the
+    /// splice step of surgical pool repair.
     ///
-    /// This is the splice step of surgical pool repair, and it is
-    /// surgical on both axes. The CSR arrays copy live sets in
-    /// contiguous *runs* between replacements (one `memcpy` per run, not
-    /// one per set), and the inverted index is patched rather than
-    /// rebuilt: set ids never move, so only the postings of nodes that
-    /// appear in an old or new replaced set change — every other node's
-    /// postings are carried over verbatim. The result is bitwise
-    /// identical to a full [`RrStore::build_index`] rebuild (postings
-    /// stay ascending by set id), so a repaired pool still matches a
-    /// cold resample that produced the same per-set contents. Borrowing
-    /// rather than mutating lets a repair build the new store straight
-    /// from the stale one — no intermediate full-pool clone.
-    pub(crate) fn spliced(&self, replacements: &[(u32, Vec<NodeId>)], n: usize) -> RrStore {
+    /// Set ids never move, so each node's new postings are its old ones
+    /// minus the replaced ids, merged with the replaced ids whose new set
+    /// holds it. Both lists ascend and are disjoint, so the merge ascends
+    /// exactly as [`RrStore::from_runs`] over the new sets would lay it
+    /// out, and a repaired pool matches a cold resample bit for bit. No
+    /// old set is kept to say which nodes a replaced set held, so every
+    /// node's postings pass the replaced-id filter. Borrowing rather than
+    /// mutating lets a repair build the new store straight from the stale
+    /// one, with no intermediate full-pool clone.
+    pub(crate) fn spliced(&self, replacements: &[(u32, Vec<NodeId>)]) -> RrStore {
         debug_assert!(
             replacements.windows(2).all(|w| w[0].0 < w[1].0),
             "replacements must be sorted by set id without duplicates"
@@ -173,135 +170,51 @@ impl RrStore {
         if replacements.is_empty() {
             return self.clone();
         }
-
-        // Which nodes' postings change, and the additions per node
-        // (`(node, set id)` pairs sorted by node then id). Both need the
-        // *old* sets, so compute them before splicing.
-        let mut affected = vec![false; n];
+        let mut replaced = vec![false; self.theta];
+        // `(node, set id)` pairs of the new sets, sorted by node then id.
         let mut additions: Vec<(NodeId, u32)> = Vec::new();
         for (i, new_set) in replacements {
-            for &v in self.set(*i as usize) {
-                affected[v as usize] = true;
-            }
-            for &v in new_set {
-                affected[v as usize] = true;
-                additions.push((v, *i));
-            }
+            replaced[*i as usize] = true;
+            additions.extend(new_set.iter().map(|&v| (v, *i)));
         }
         additions.sort_unstable();
 
-        // Splice the CSR arrays: live runs between consecutive dead sets
-        // are copied wholesale, with their offsets shifted by the
-        // accumulated size delta.
-        let old_len: usize = replacements
-            .iter()
-            .map(|(i, _)| self.set(*i as usize).len())
-            .sum();
-        let new_len: usize = replacements.iter().map(|(_, s)| s.len()).sum();
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(self.nodes.len() - old_len + new_len);
-        let mut offsets: Vec<u64> = Vec::with_capacity(self.offsets.len());
-        offsets.push(0u64);
-        let copy_run = |nodes: &mut Vec<NodeId>, offsets: &mut Vec<u64>, from: usize, to: usize| {
-            if from >= to {
-                return;
-            }
-            let (lo, hi) = (self.offsets[from] as usize, self.offsets[to] as usize);
-            let shift = (nodes.len() as u64).wrapping_sub(self.offsets[from]);
-            nodes.extend_from_slice(&self.nodes[lo..hi]);
-            offsets.extend(
-                self.offsets[from + 1..=to]
-                    .iter()
-                    .map(|&o| o.wrapping_add(shift)),
-            );
-        };
-        let mut run_start = 0usize;
-        for (i, new_set) in replacements {
-            copy_run(&mut nodes, &mut offsets, run_start, *i as usize);
-            nodes.extend_from_slice(new_set);
-            offsets.push(nodes.len() as u64);
-            run_start = *i as usize + 1;
-        }
-        copy_run(&mut nodes, &mut offsets, run_start, self.len());
-
-        if self.idx_offsets.len() != n + 1 {
-            // No index to patch (raw chunk store) — splice and rebuild.
-            let mut store = RrStore::from_raw(offsets, nodes);
-            store.build_index(n);
-            return store;
-        }
-
-        // Patch the inverted index. Unaffected nodes keep their postings
-        // verbatim; affected nodes merge (old postings minus replaced
-        // ids) with their additions — both ascending and disjoint, so
-        // the merged postings are ascending exactly as a rebuild would
-        // produce them.
+        let n = self.idx_offsets.len() - 1;
         let mut idx_offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        let mut idx_samples: Vec<u32> = Vec::with_capacity(nodes.len());
+        let mut idx_samples: Vec<u32> =
+            Vec::with_capacity(self.idx_samples.len() + additions.len());
         idx_offsets.push(0u64);
         let mut add_cursor = 0usize;
-        for (v, &touched) in affected.iter().enumerate() {
+        for v in 0..n {
+            let adds_lo = add_cursor;
+            while add_cursor < additions.len() && additions[add_cursor].0 as usize == v {
+                add_cursor += 1;
+            }
+            let mut adds = additions[adds_lo..add_cursor]
+                .iter()
+                .map(|&(_, id)| id)
+                .peekable();
             let (lo, hi) = (
                 self.idx_offsets[v] as usize,
                 self.idx_offsets[v + 1] as usize,
             );
-            if !touched {
-                idx_samples.extend_from_slice(&self.idx_samples[lo..hi]);
-            } else {
-                let adds_lo = add_cursor;
-                while add_cursor < additions.len() && additions[add_cursor].0 as usize == v {
-                    add_cursor += 1;
+            for &id in &self.idx_samples[lo..hi] {
+                if replaced[id as usize] {
+                    continue;
                 }
-                let adds = &additions[adds_lo..add_cursor];
-                let mut a = 0usize;
-                let mut dead = 0usize;
-                for &id in &self.idx_samples[lo..hi] {
-                    while dead < replacements.len() && replacements[dead].0 < id {
-                        dead += 1;
-                    }
-                    if dead < replacements.len() && replacements[dead].0 == id {
-                        continue;
-                    }
-                    while a < adds.len() && adds[a].1 < id {
-                        idx_samples.push(adds[a].1);
-                        a += 1;
-                    }
-                    idx_samples.push(id);
+                while let Some(add) = adds.next_if(|&add| add < id) {
+                    idx_samples.push(add);
                 }
-                for &(_, id) in &adds[a..] {
-                    idx_samples.push(id);
-                }
+                idx_samples.push(id);
             }
+            idx_samples.extend(adds);
             idx_offsets.push(idx_samples.len() as u64);
         }
-        debug_assert_eq!(idx_samples.len(), nodes.len());
-
         RrStore {
-            offsets,
-            nodes,
+            theta: self.theta,
             idx_offsets,
             idx_samples,
         }
-    }
-
-    /// Concatenates chunked stores (in order) and rebuilds the index.
-    pub(crate) fn concat(chunks: &[RrStore], n: usize) -> RrStore {
-        let total_sets: usize = chunks.iter().map(|c| c.len()).sum();
-        let total_nodes: usize = chunks.iter().map(|c| c.total_nodes()).sum();
-        let mut out = RrStore {
-            offsets: Vec::with_capacity(total_sets + 1),
-            nodes: Vec::with_capacity(total_nodes),
-            idx_offsets: Vec::new(),
-            idx_samples: Vec::new(),
-        };
-        out.offsets.push(0);
-        for chunk in chunks {
-            for i in 0..chunk.len() {
-                out.nodes.extend_from_slice(chunk.set(i));
-                out.offsets.push(out.nodes.len() as u64);
-            }
-        }
-        out.build_index(n);
-        out
     }
 }
 
@@ -539,13 +452,13 @@ const CHUNK: usize = 4096;
 
 fn generate_store(graph: &DiGraph, live: &LiveInEdges<'_>, roots: &[NodeId], seed: u64) -> RrStore {
     // Chunk jobs are independent seed-derived streams; par_iter + collect
-    // preserves chunk order, so concatenation is thread-count-invariant.
+    // preserves chunk order, so the index is thread-count-invariant.
     let chunk_jobs: Vec<(usize, &[NodeId])> = roots.chunks(CHUNK).enumerate().collect();
-    let chunks: Vec<RrStore> = chunk_jobs
+    let runs: Vec<SetRun> = chunk_jobs
         .par_iter()
         .map(|&(ci, chunk_roots)| generate_chunk(graph, live, chunk_roots, seed, ci))
         .collect();
-    RrStore::concat(&chunks, graph.node_count())
+    RrStore::from_runs(runs, graph.node_count())
 }
 
 fn generate_chunk(
@@ -554,7 +467,7 @@ fn generate_chunk(
     roots: &[NodeId],
     seed: u64,
     chunk_index: usize,
-) -> RrStore {
+) -> SetRun {
     // Same bijective stream derivation as the MRR sampler: the mix of
     // the chunk index can never collapse two chunks (or every chunk, for
     // an adversarial seed) onto one stream.
@@ -564,19 +477,12 @@ fn generate_chunk(
     let mut rng = SmallRng::seed_from_u64(seed ^ stream);
     let mut scratch = BfsScratch::new(graph.node_count());
     let mut set_buf: Vec<NodeId> = Vec::new();
-    let mut store = RrStore {
-        offsets: Vec::with_capacity(roots.len() + 1),
-        nodes: Vec::new(),
-        idx_offsets: Vec::new(),
-        idx_samples: Vec::new(),
-    };
-    store.offsets.push(0);
+    let mut run = SetRun::with_capacity(roots.len());
     for &root in roots {
         sample_rr_set(&mut rng, live, root, &mut scratch, &mut set_buf);
-        store.nodes.extend_from_slice(&set_buf);
-        store.offsets.push(store.nodes.len() as u64);
+        run.push(&set_buf);
     }
-    store
+    run
 }
 
 #[cfg(test)]
@@ -794,6 +700,18 @@ mod tests {
         assert_eq!(pool.estimate_spread(&[]), 0.0);
     }
 
+    /// Every posting list of two stores, compared node by node.
+    fn assert_same_index(a: &RrStore, b: &RrStore, n: u32, label: &str) {
+        assert_eq!(a.len(), b.len(), "{label}: θ");
+        for v in 0..n {
+            assert_eq!(
+                a.samples_containing(v),
+                b.samples_containing(v),
+                "{label}: postings of node {v}"
+            );
+        }
+    }
+
     #[test]
     fn parallel_matches_sequential() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -803,13 +721,11 @@ mod tests {
         let b = RrPool::generate_parallel(&g, &p, 10_000, 42, 4);
         assert_eq!(a.roots(), b.roots());
         assert_eq!(a.store().total_nodes(), b.store().total_nodes());
-        for i in (0..a.theta()).step_by(997) {
-            assert_eq!(a.store().set(i), b.store().set(i));
-        }
+        assert_same_index(a.store(), b.store(), 120, "4 threads");
     }
 
     /// One seed ⇒ one pool, for any thread count, compared exhaustively
-    /// (every set and the full inverted index).
+    /// (the roots and the full inverted index).
     #[test]
     fn thread_count_invariance_exhaustive() {
         let mut rng = StdRng::seed_from_u64(31);
@@ -821,37 +737,100 @@ mod tests {
         for threads in [2, 5, 16] {
             let pool = RrPool::generate_parallel(&g, &p, theta, 7, threads);
             assert_eq!(reference.roots(), pool.roots(), "{threads} threads");
-            for i in 0..theta {
-                assert_eq!(
-                    reference.store().set(i),
-                    pool.store().set(i),
-                    "{threads} threads"
-                );
-            }
-            for v in 0..200u32 {
-                assert_eq!(
-                    reference.store().samples_containing(v),
-                    pool.store().samples_containing(v),
-                    "inverted index for node {v} with {threads} threads"
-                );
-            }
+            assert_same_index(
+                reference.store(),
+                pool.store(),
+                200,
+                &format!("{threads} threads"),
+            );
         }
     }
 
+    /// The index holds exactly the sets the walks drew: replaying the
+    /// pool's single chunk gives each set, and a node lists a set iff
+    /// the set holds it.
     #[test]
     fn inverted_index_consistent() {
         let mut rng = StdRng::seed_from_u64(9);
         let g = oipa_graph::generators::erdos_renyi_gnm(&mut rng, 50, 300);
         let p = MaterializedProbs(vec![0.3; g.edge_count()]);
         let pool = RrPool::generate(&g, &p, 2000, 3);
-        // Index must agree with direct membership.
+        let live = LiveInEdges::for_walks(&g, &p, 2000);
+        let run = generate_chunk(&g, &live, pool.roots(), 3 ^ 0x9e37_79b9_7f4a_7c15, 0);
+        let mut sets = Vec::new();
+        run.for_each_set(|set| sets.push(set.to_vec()));
+        assert_eq!(sets.len(), pool.theta());
         for v in 0..50u32 {
             let via_index: std::collections::HashSet<u32> =
                 pool.store().samples_containing(v).iter().copied().collect();
-            for i in 0..pool.theta() {
-                let member = pool.store().set(i).contains(&v);
+            for (i, set) in sets.iter().enumerate() {
+                let member = set.contains(&v);
                 assert_eq!(member, via_index.contains(&(i as u32)), "node {v} set {i}");
             }
+        }
+    }
+
+    /// Indexing several runs numbers their sets on from one run to the
+    /// next, and empty runs and sets take no ids and no postings.
+    #[test]
+    fn from_runs_numbers_sets_across_runs() {
+        let run = |sets: &[&[NodeId]]| {
+            let mut run = SetRun::with_capacity(sets.len());
+            for set in sets {
+                run.push(set);
+            }
+            run
+        };
+        let store = RrStore::from_runs(
+            vec![
+                run(&[&[2, 0], &[1]]),
+                run(&[]),
+                run(&[&[], &[0, 1, 2], &[2]]),
+            ],
+            4,
+        );
+        assert_eq!(store.len(), 5);
+        assert_eq!(store.total_nodes(), 7);
+        assert_eq!(store.samples_containing(0), &[0, 3]);
+        assert_eq!(store.samples_containing(1), &[1, 3]);
+        assert_eq!(store.samples_containing(2), &[0, 3, 4]);
+        assert_eq!(store.samples_containing(3), &[] as &[u32]);
+        assert_eq!(store.memory_bytes(), 5 * 8 + 7 * 4);
+    }
+
+    /// A splice equals indexing the new sets from scratch, whether it
+    /// replaces no set, one set or every set, and whether a new set is
+    /// empty or holds a node no old set held.
+    #[test]
+    fn spliced_equals_a_fresh_index() {
+        let old: Vec<Vec<NodeId>> = vec![vec![0, 1], vec![1], vec![2, 1, 0], vec![], vec![1, 2]];
+        let index = |sets: &[Vec<NodeId>]| {
+            let mut run = SetRun::default();
+            for set in sets {
+                run.push(set);
+            }
+            RrStore::from_runs(vec![run], 4)
+        };
+        let store = index(&old);
+        let cases: [&[(u32, Vec<NodeId>)]; 4] = [
+            &[],
+            &[(2, vec![3])],
+            &[(0, vec![]), (3, vec![3, 0]), (4, vec![1])],
+            &[
+                (0, vec![3]),
+                (1, vec![0, 3]),
+                (2, vec![]),
+                (3, vec![2]),
+                (4, vec![1, 0]),
+            ],
+        ];
+        for replacements in cases {
+            let mut new = old.clone();
+            for (i, set) in replacements {
+                new[*i as usize] = set.clone();
+            }
+            let label = format!("{} replaced", replacements.len());
+            assert_same_index(&store.spliced(replacements), &index(&new), 4, &label);
         }
     }
 

@@ -78,14 +78,9 @@ fn random_delta(rng: &mut StdRng, graph: &DiGraph, topic_count: usize) -> GraphD
 
 fn assert_pools_bitwise_equal(a: &MrrPool, b: &MrrPool, context: &str) {
     assert_eq!(a.roots(), b.roots(), "{context}: roots");
+    assert_eq!(a.ell(), b.ell(), "{context}: ℓ");
+    assert_eq!(a.memory_bytes(), b.memory_bytes(), "{context}: size");
     for j in 0..a.ell() {
-        for i in 0..a.theta() {
-            assert_eq!(
-                a.rr_set(j, i),
-                b.rr_set(j, i),
-                "{context}: piece {j} walk {i}"
-            );
-        }
         for v in 0..a.node_count() as NodeId {
             assert_eq!(
                 a.samples_containing(j, v),
@@ -273,5 +268,65 @@ fn weighted_cascade_repair_rewalks_at_most_a_tenth_of_the_sets() {
         );
         let cold = MrrPool::generate(&app.graph, &post_table, &campaign, theta, seed);
         assert_pools_bitwise_equal(&repaired, &cold, scenario);
+    }
+}
+
+/// Repairs at the edges of the splice, each equal to the cold pool on
+/// the post-delta inputs: a new edge into a node no set holds (nothing
+/// dies), one into a node exactly one set holds (one walk dies), and
+/// every node named dirty (every walk dies).
+#[test]
+fn repair_edge_cases_equal_the_cold_pool() {
+    let (graph, table, campaign) = weighted_cascade_instance(0xd14a);
+    // Few walks, so some nodes lie in no set and some in exactly one.
+    let (theta, seed) = (200, 0xd15c);
+    let pool = MrrPool::generate(&graph, &table, &campaign, theta, seed);
+    let sets_holding = |v: NodeId| -> usize {
+        (0..pool.ell())
+            .map(|j| pool.samples_containing(j, v).len())
+            .sum()
+    };
+    let node = |sets: usize| {
+        (0..graph.node_count() as NodeId)
+            .find(|&v| sets_holding(v) == sets)
+            .unwrap_or_else(|| panic!("no node lies in exactly {sets} sets"))
+    };
+    // A new edge into `target` that every topic crosses.
+    let edge_into = |target: NodeId| {
+        let source = (0..graph.node_count() as NodeId)
+            .find(|&u| u != target && graph.find_edge(u, target).is_none())
+            .unwrap();
+        GraphDelta {
+            insert: vec![EdgeChange {
+                source,
+                target,
+                probs: (0..4).map(|topic| TopicProb { topic, prob: 1.0 }).collect(),
+            }],
+            ..GraphDelta::default()
+        }
+    };
+    let every_node: Vec<NodeId> = (0..graph.node_count() as NodeId).collect();
+    let cases = [
+        ("dirty target in no set", node(0), None, 0),
+        ("one dead walk", node(1), None, 1),
+        (
+            "every walk dead",
+            node(1),
+            Some(every_node),
+            theta * campaign.len(),
+        ),
+    ];
+    for (label, target, dirty, dead) in cases {
+        let delta = edge_into(target);
+        let app = graph.apply_delta(&delta).unwrap();
+        let post_table = table.apply_delta(&delta, &app).unwrap();
+        assert_eq!(app.dirty_targets, vec![target], "{label}");
+        let dirty = dirty.unwrap_or_else(|| app.dirty_targets.clone());
+        let (repaired, outcome) = pool
+            .repaired(&app.graph, &post_table, &campaign, &dirty, seed)
+            .unwrap();
+        assert_eq!(outcome.sets_resampled, dead, "{label}");
+        let cold = MrrPool::generate(&app.graph, &post_table, &campaign, theta, seed);
+        assert_pools_bitwise_equal(&repaired, &cold, label);
     }
 }

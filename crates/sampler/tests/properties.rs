@@ -9,8 +9,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Structural invariants of RR pools: roots in range and always
-    /// members of their own set; index ↔ membership agreement on a
-    /// sampled node; zero probability ⇒ singleton sets.
+    /// members of their own set; every node's postings strictly
+    /// ascending and below θ; zero probability ⇒ singleton sets, so each
+    /// node lists exactly the samples rooted at it.
     #[test]
     fn rr_pool_invariants(seed in 0u64..5_000, p in 0.0f32..0.6) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -20,16 +21,18 @@ proptest! {
         prop_assert_eq!(pool.theta(), 500);
         for (i, &root) in pool.roots().iter().enumerate() {
             prop_assert!((root as usize) < 30);
-            prop_assert!(pool.store().set(i).contains(&root));
-            if p == 0.0 {
-                prop_assert_eq!(pool.store().set(i).len(), 1);
-            }
+            prop_assert!(pool.store().samples_containing(root).contains(&(i as u32)));
         }
-        let v = (seed % 30) as u32;
-        let listed: std::collections::HashSet<u32> =
-            pool.store().samples_containing(v).iter().copied().collect();
-        for i in 0..pool.theta() {
-            prop_assert_eq!(pool.store().set(i).contains(&v), listed.contains(&(i as u32)));
+        for v in 0..30u32 {
+            let listed = pool.store().samples_containing(v);
+            prop_assert!(listed.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(listed.iter().all(|&i| (i as usize) < pool.theta()));
+            if p == 0.0 {
+                let rooted: Vec<u32> = (0..pool.theta() as u32)
+                    .filter(|&i| pool.roots()[i as usize] == v)
+                    .collect();
+                prop_assert_eq!(listed, &rooted[..]);
+            }
         }
     }
 
@@ -55,15 +58,16 @@ proptest! {
         let a = MrrPool::generate(&g, &table, &campaign, 600, seed);
         let b = MrrPool::generate_parallel(&g, &table, &campaign, 600, seed, threads);
         prop_assert_eq!(a.roots(), b.roots());
+        prop_assert_eq!(a.fingerprint(), b.fingerprint());
         for j in 0..2 {
-            for i in (0..600).step_by(77) {
-                prop_assert_eq!(a.rr_set(j, i), b.rr_set(j, i));
+            for v in 0..25u32 {
+                prop_assert_eq!(a.samples_containing(j, v), b.samples_containing(j, v));
             }
         }
     }
 
     /// Pool serialization round-trips for arbitrary instances: the
-    /// decoded pool is the cold one, stored index included, at θ = 1
+    /// decoded pool is the cold one, index and size included, at θ = 1
     /// (most nodes with empty postings) up to θ = 20 000 (gaps that need
     /// two-byte varints; on 30 000 nodes, first ids that need three).
     #[test]
@@ -85,15 +89,12 @@ proptest! {
         let back = oipa_sampler::binio::read_pool(&buf[..]).unwrap();
         prop_assert_eq!(back.fingerprint(), pool.fingerprint());
         prop_assert_eq!(back.roots(), pool.roots());
+        prop_assert_eq!(back.memory_bytes(), pool.memory_bytes());
         for j in 0..pool.ell() {
-            for i in 0..pool.theta() {
-                prop_assert_eq!(back.rr_set(j, i), pool.rr_set(j, i));
-            }
             for v in 0..pool.node_count() as u32 {
                 prop_assert_eq!(back.samples_containing(j, v), pool.samples_containing(j, v));
             }
         }
-        prop_assert!(back.check_index().is_ok());
     }
 }
 

@@ -8,9 +8,9 @@
 //!
 //! ```text
 //! store/
-//! ├── index.json            manifest v4: epoch lineage, regions + key →
+//! ├── index.json            manifest v5: epoch lineage, regions + key →
 //! │                         (region, offset, bytes, crc, recency, epoch)
-//! ├── region-00000001.dat   pool binio v3 payloads, appended back to back
+//! ├── region-00000001.dat   pool binio v4 payloads, appended back to back
 //! │     ┌─────────┬──────────────┬────────┐
 //! │     │ pool #0 │    pool #1   │ pool#2 │ … ← committed watermark
 //! │     └─────────┴──────────────┴────────┘
@@ -19,7 +19,7 @@
 //!     └── region-…dat       recovery and `gc` (never deleted silently)
 //! ```
 //!
-//! Every entry is one binio v3 pool (CRC-32 trailer) at a manifest-
+//! Every entry is one binio v4 pool (CRC-32 trailer) at a manifest-
 //! recorded `(region, offset, bytes)`. Writes **append** to the newest
 //! region through the [`crate::io::StoreIo`] seam, sync, and then commit
 //! by atomically rewriting the manifest — the manifest rename is the ack
@@ -42,8 +42,9 @@
 //! reclaiming the rest — reported per region.
 //!
 //! A directory written under an earlier manifest schema — v1 (one
-//! `pool-*.mrr` segment per key), v2 (no epochs) or v3 (pool binio v2
-//! payloads, which carry no inverted index) — is not read: its manifest
+//! `pool-*.mrr` segment per key), v2 (no epochs), v3 (pool binio v2
+//! payloads, which carry no inverted index) or v4 (pool binio v3
+//! payloads, which also carry the forward sets) — is not read: its manifest
 //! takes the unsupported-version path (quarantined, the tier starts
 //! empty) and its data files are quarantined as orphans. The store is a
 //! cache, so those keys resample bitwise-identically.
@@ -67,8 +68,9 @@ use std::path::{Path, PathBuf};
 /// Manifest schema version (v3: epoch lineage — the single instance
 /// fingerprint became a fingerprint *chain*, and every entry carries the
 /// epoch it was sampled or repaired at; v4: entries are pool binio v3,
-/// which stores each piece's inverted index).
-const MANIFEST_VERSION: u32 = 4;
+/// which stores each piece's inverted index; v5: entries are pool binio
+/// v4, which stores only that index).
+const MANIFEST_VERSION: u32 = 5;
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "index.json";
 /// Quarantine subdirectory name.
@@ -475,7 +477,7 @@ impl DiskTier {
                 match parsed {
                     Ok(m) => m,
                     Err(reason) => {
-                        // Unreadable, retired (v1–v3) or future-versioned: set
+                        // Unreadable, retired (v1–v4) or future-versioned: set
                         // the manifest aside and start empty; its files
                         // become orphans below. Never serve entries we
                         // cannot trust.
@@ -1166,10 +1168,10 @@ impl DiskTier {
         }
     }
 
-    /// Reads every indexed entry out of its region, checking structure,
-    /// CRC trailer, the manifest's recorded checksum, and the stored
-    /// inverted index against one rebuilt from the entry's RR sets
-    /// ([`MrrPool::check_index`]). Mutates nothing — pair with
+    /// Reads every indexed entry out of its region, checking the CRC
+    /// trailer, the decoder's structural checks (see
+    /// [`oipa_sampler::binio`]), the manifest's recorded checksum and
+    /// the key's θ. Mutates nothing — pair with
     /// [`DiskTier::gc`] to act on the findings. Labels are
     /// `region@offset`.
     pub fn verify(&self) -> VerifyReport {
@@ -1188,8 +1190,7 @@ impl DiskTier {
     }
 
     /// Full verification of one entry: readable, parseable, trailer
-    /// matches the manifest CRC, θ matches the key, and the stored index
-    /// is the one the entry's sets rebuild.
+    /// matches the manifest CRC, and θ matches the key.
     fn check_entry(&self, entry: &ManifestEntry) -> Result<(), String> {
         let path = self.dir.join(&entry.file);
         let (read, _) = read_entry(self.io.as_ref(), &path, entry.offset, entry.bytes);
@@ -1209,7 +1210,7 @@ impl DiskTier {
                 entry.key.theta()
             ));
         }
-        pool.check_index()
+        Ok(())
     }
 
     /// Repairs and compacts the tier: drops entries whose region

@@ -58,9 +58,6 @@ pub trait StoreIo: Send + Sync {
     /// Whether a path exists (faults are never injected here — existence
     /// probes guide quarantine naming, not durability).
     fn exists(&self, path: &Path) -> bool;
-    /// The last `n` bytes of a file (used to cross-check the segment
-    /// CRC trailer without re-reading a multi-megabyte payload).
-    fn tail(&self, path: &Path, n: usize) -> io::Result<Vec<u8>>;
     /// Appends `bytes` to the end of a file, creating it if absent (the
     /// region tier's pack path).
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
@@ -68,10 +65,9 @@ pub trait StoreIo: Send + Sync {
     /// range past the end of the file is an error, never a short read.
     ///
     /// A disk-tier entry read is several of these calls, not one: the
-    /// tier reads each array of a pool (roots, then per piece offsets,
-    /// nodes, index offsets and postings, plus the header and the small
-    /// length fields between them) straight into the buffer that keeps
-    /// it. So a `read:<kind>=N` fault rule counts each call, and one
+    /// tier reads each array of a pool (roots, then per piece index
+    /// offsets and postings, plus the header and the small length
+    /// fields between them) straight into the buffer that keeps it. So a `read:<kind>=N` fault rule counts each call, and one
     /// entry read spans many of `N`.
     fn read_at(&self, path: &Path, offset: u64, buf: &mut [u8]) -> io::Result<()>;
     /// Truncates a file to `len` bytes (recovery trimming a torn region
@@ -132,22 +128,6 @@ impl StoreIo for RealIo {
         path.exists()
     }
 
-    fn tail(&self, path: &Path, n: usize) -> io::Result<Vec<u8>> {
-        use std::io::{Read as _, Seek as _, SeekFrom};
-        let mut file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        if (len as usize) < n {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("file is {len} bytes, shorter than the {n}-byte tail"),
-            ));
-        }
-        file.seek(SeekFrom::End(-(n as i64)))?;
-        let mut buf = vec![0u8; n];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         use std::io::Write as _;
         let mut file = std::fs::OpenOptions::new()
@@ -183,8 +163,7 @@ pub enum FaultOp {
     Remove,
     /// `fsync` calls.
     Sync,
-    /// Reads: whole files, tails, and each `read_at` call of an entry
-    /// read.
+    /// Reads: whole files and each `read_at` call of an entry read.
     Read,
     /// Directory listings.
     List,
@@ -624,17 +603,6 @@ impl StoreIo for FaultIo {
 
     fn exists(&self, path: &Path) -> bool {
         self.inner.exists(path)
-    }
-
-    fn tail(&self, path: &Path, n: usize) -> io::Result<Vec<u8>> {
-        match self.decide(
-            FaultOp::Read,
-            &format!("reading tail of {}", path.display()),
-        ) {
-            Verdict::Pass => self.inner.tail(path, n),
-            Verdict::Fail(e) | Verdict::Drop(e) => Err(e),
-            Verdict::Torn => unreachable!("reads are never torn"),
-        }
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {

@@ -2,7 +2,7 @@
 //!
 //! * **Golden parity** — a pool served cold (freshly sampled), from the
 //!   memory tier, and from a reopened disk tier is bitwise-identical
-//!   (fingerprint + roots + RR sets), so every downstream plan/utility
+//!   (fingerprint + roots + every posting), so every downstream plan/utility
 //!   is too.
 //! * **Durability** — write-to-temp + atomic rename, manifest recovery,
 //!   quarantine of corrupt and orphaned segments, instance purges.
@@ -40,9 +40,14 @@ fn assert_same_pool(a: &MrrPool, b: &MrrPool, label: &str) {
     assert_eq!(a.fingerprint(), b.fingerprint(), "{label}: fingerprints");
     assert_eq!(a.roots(), b.roots(), "{label}: roots");
     assert_eq!(a.theta(), b.theta(), "{label}: theta");
+    assert_eq!(a.ell(), b.ell(), "{label}: ℓ");
     for j in 0..a.ell() {
-        for i in (0..a.theta()).step_by(97) {
-            assert_eq!(a.rr_set(j, i), b.rr_set(j, i), "{label}: rr_set({j},{i})");
+        for v in 0..a.node_count() as u32 {
+            assert_eq!(
+                a.samples_containing(j, v),
+                b.samples_containing(j, v),
+                "{label}: postings of piece {j} node {v}"
+            );
         }
     }
 }
@@ -356,37 +361,38 @@ fn write_v2_dir(dir: &PathBuf, p: &Arc<MrrPool>, k: &PoolKey) -> String {
     region.file
 }
 
-/// Writes a v3 (epoch lineage, entries in pool binio v2) directory
-/// holding `p` under `k`: the current tier's own directory with its
-/// manifest's version set back to 3. Returns the region file.
-fn write_v3_dir(dir: &PathBuf, p: &Arc<MrrPool>, k: &PoolKey) -> String {
+/// Writes a directory in the region layout of manifest `version` (3
+/// or later) holding `p` under `k`: the current tier's own directory
+/// with its manifest's version set back. Returns the region file.
+fn write_region_dir(dir: &PathBuf, p: &Arc<MrrPool>, k: &PoolKey, version: u32) -> String {
     let store = PoolStore::open(config(dir)).unwrap();
     store.insert(k.clone(), Arc::clone(p));
     let region = store.disk().unwrap().regions()[0].file.clone();
     drop(store);
     let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-    let retired = manifest.replacen("\"version\": 4", "\"version\": 3", 1);
-    assert_ne!(retired, manifest, "the manifest records version 4");
+    let retired = manifest.replacen("\"version\": 5", &format!("\"version\": {version}"), 1);
+    assert_ne!(retired, manifest, "the manifest records version 5");
     std::fs::write(dir.join(MANIFEST_FILE), retired).unwrap();
     region
 }
 
 /// A directory in a retired format — v1 (file-per-key), v2 (regions
-/// under one instance fingerprint, no epochs) or v3 (entries in pool
-/// binio v2, with no stored index) — is not migrated: its manifest takes
-/// the unsupported-version path and its data file is quarantined as an
-/// orphan. The store is a cache, so the key misses and resamples to the
-/// same pool.
+/// under one instance fingerprint, no epochs), v3 (entries in pool
+/// binio v2, with no stored index) or v4 (entries in pool binio v3,
+/// which also stored the forward sets) — is not migrated: its manifest
+/// takes the unsupported-version path and its data file is quarantined
+/// as an orphan. The store is a cache, so the key misses and resamples
+/// to the same pool.
 #[test]
 fn v1_directory_is_quarantined_and_its_keys_resample() {
     let p = pool(300, 3);
     let k = key(300, 3);
-    for version in [1, 2, 3] {
+    for version in [1, 2, 3, 4] {
         let dir = tmpdir(&format!("v{version}-dir"));
         let data_file = match version {
             1 => write_v1_dir(&dir, &p, &k),
             2 => write_v2_dir(&dir, &p, &k),
-            _ => write_v3_dir(&dir, &p, &k),
+            _ => write_region_dir(&dir, &p, &k, version),
         };
 
         let store = PoolStore::open(config(&dir)).unwrap();
