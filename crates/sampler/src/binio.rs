@@ -325,7 +325,7 @@ impl RawPool {
                 idx_samples,
             ));
         }
-        MrrPool::from_parts(n as u32, self.roots, stores).map_err(PoolIoError::Format)
+        Ok(MrrPool::from_parts(n as u32, self.roots, stores))
     }
 }
 

@@ -14,7 +14,6 @@ use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use std::sync::Mutex;
 
 /// θ MRR samples for an ℓ-piece campaign, kept as each piece's inverted
 /// node → sample-ids index (see [`RrStore`]).
@@ -163,16 +162,14 @@ impl MrrPool {
             .collect::<Vec<SetRun>>()
             .into_iter();
 
-        // Each piece's index is built from its chunks, which its job takes
-        // and drops as soon as the index is built.
-        let pieces: Vec<Mutex<Vec<SetRun>>> = (0..ell)
-            .map(|_| Mutex::new(runs.by_ref().take(chunk_count).collect()))
-            .collect();
-        let stores: Vec<RrStore> = pieces
-            .par_iter()
-            .map(|runs| {
-                let runs = std::mem::take(&mut *runs.lock().expect("one job per piece"));
-                RrStore::from_runs(runs, graph.node_count())
+        // Each piece's index is built from its chunks, which are dropped
+        // as soon as it is.
+        let stores: Vec<RrStore> = (0..ell)
+            .map(|_| {
+                RrStore::from_runs(
+                    runs.by_ref().take(chunk_count).collect(),
+                    graph.node_count(),
+                )
             })
             .collect();
         Ok(MrrPool {
@@ -262,24 +259,12 @@ impl MrrPool {
     }
 
     /// Reassembles a pool from deserialized parts (crate-internal; used by
-    /// `binio`). Corrupt part shapes are reported as errors, not panics,
-    /// so loaders can surface them as format failures.
-    pub(crate) fn from_parts(
-        n: u32,
-        roots: Vec<NodeId>,
-        stores: Vec<RrStore>,
-    ) -> Result<MrrPool, String> {
-        if stores.is_empty() {
-            return Err("pool has no per-piece stores".to_string());
-        }
-        if let Some(bad) = stores.iter().position(|s| s.len() != roots.len()) {
-            return Err(format!(
-                "piece {bad} has {} RR sets but the pool has {} roots",
-                stores[bad].len(),
-                roots.len()
-            ));
-        }
-        Ok(MrrPool { n, roots, stores })
+    /// `binio`, which has checked that there is at least one piece and
+    /// sized every piece's θ from the root count).
+    pub(crate) fn from_parts(n: u32, roots: Vec<NodeId>, stores: Vec<RrStore>) -> MrrPool {
+        debug_assert!(!stores.is_empty());
+        debug_assert!(stores.iter().all(|s| s.len() == roots.len()));
+        MrrPool { n, roots, stores }
     }
 
     /// A content fingerprint over the node count, roots and every piece's
