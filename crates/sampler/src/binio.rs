@@ -37,12 +37,12 @@
 //! whose RR set holds it) and nothing else. Every solver reads a pool
 //! only through that index, and a set's members are exactly the nodes
 //! whose postings hold its id, so the forward sets (per-set offsets and
-//! nodes) would only repeat it, in walk order, at about three times the
-//! bytes. Postings ascend within a node, so their gaps are small (in a
-//! pool shaped like `wirebench`'s `spill` pools — 300 nodes, 2 400
-//! edges, θ = 20 000, ℓ = 3 — over 99.6% are below 128 and take one
-//! byte), and the index costs about a quarter of what raw `u32`
-//! postings would.
+//! nodes) would only repeat it, in walk order, at about four times the
+//! bytes of the encoded index. Postings ascend within a node, so their
+//! gaps are small (in a pool shaped like `wirebench`'s `spill` pools —
+//! 300 nodes, 2 400 edges, θ = 20 000, ℓ = 3 — over 99.6% are below 128
+//! and take one byte), and the index costs about a quarter of what raw
+//! `u32` postings would.
 //!
 //! Reading is two steps, [`RawPool::read`] and [`RawPool::decode`]:
 //!

@@ -98,9 +98,9 @@ pub struct ManifestEntry {
     pub file: String,
     /// Byte offset of this entry's payload inside the region.
     pub offset: u64,
-    /// Payload size in bytes (binio v3 frame, trailer included).
+    /// Payload size in bytes (binio v4 frame, trailer included).
     pub bytes: u64,
-    /// CRC-32 of the payload (the binio v3 trailer value).
+    /// CRC-32 of the payload (the binio v4 trailer value).
     pub crc: u32,
     /// LRU recency stamp (larger = more recent); persists across opens.
     pub last_used: u64,

@@ -48,7 +48,7 @@
 //! synced, then committed by an atomic temp+sync+rename manifest rewrite
 //! (the rename is the ack point — a torn append is just unindexed bytes
 //! past the region's committed watermark, truncated by the next open);
-//! every read verifies the pool binio v3 CRC-32 trailer; anything
+//! every read verifies the pool binio v4 CRC-32 trailer; anything
 //! corrupt or unaccounted for is moved to `quarantine/` — recovery never
 //! fails an open and corruption is never served. Disk reads batch their
 //! LRU stamps in memory (flushed on the next write or on drop) instead
