@@ -356,6 +356,67 @@ mod tests {
         assert_eq!(plan.size(), 2);
     }
 
+    /// The served greedy's answers are fixed: for budgets 1..=5, the plan
+    /// and the bits of the utility `envelope_heuristic` returns hash to
+    /// these values over fig. 1, four seeded random instances and one
+    /// pool shaped like `wirebench`'s `spill` pools (300 nodes, 2 400
+    /// edges, 4 topics, ℓ = 3, θ = 20 000, 60 promoters).
+    #[test]
+    fn greedy_answers_are_pinned() {
+        use oipa_graph::hashing::FxHasher;
+        use oipa_sampler::testkit::small_random_instance;
+        use rand::{Rng as _, SeedableRng as _};
+        use std::hash::Hasher as _;
+
+        let digest = |pool: &MrrPool, model: LogisticAdoption, promoters: &[NodeId]| {
+            let mut h = FxHasher::default();
+            for k in 1..=5 {
+                let (plan, utility) = super::envelope_heuristic(pool, model, promoters, k);
+                assert!(plan.size() > 0);
+                for j in 0..pool.ell() {
+                    h.write_u64(plan.set(j).len() as u64);
+                    for &v in plan.set(j) {
+                        h.write_u32(v);
+                    }
+                }
+                h.write_u64(utility.to_bits());
+            }
+            h.finish()
+        };
+        let (g, table, campaign) = fig1();
+        let mut cases = vec![(
+            MrrPool::generate(&g, &table, &campaign, 5_000, 9),
+            LogisticAdoption::example(),
+            vec![0, 1, 2, 3, 4],
+        )];
+        for (seed, ell, ratio) in [(1u64, 2, 0.3), (2, 3, 0.5), (3, 4, 0.7), (4, 5, 0.5)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (g, table, campaign) = small_random_instance(&mut rng, 60, 300, 3, ell);
+            let pool = MrrPool::generate(&g, &table, &campaign, 4_000, seed);
+            let promoters: Vec<NodeId> = (0..60).filter(|_| rng.gen_bool(0.5)).collect();
+            cases.push((pool, LogisticAdoption::from_ratio(ratio), promoters));
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e12e);
+        let (g, table, campaign) = small_random_instance(&mut rng, 300, 2_400, 4, 3);
+        cases.push((
+            MrrPool::generate(&g, &table, &campaign, 20_000, 7),
+            LogisticAdoption::from_ratio(0.5),
+            (0..300).step_by(5).collect(),
+        ));
+        let expected: [u64; 6] = [
+            0xE046_35F2_8C53_D167,
+            0xC577_49A5_01CD_1E9B,
+            0xD133_1E36_51F2_27CF,
+            0x414C_A652_4E01_A12D,
+            0xA89E_0032_9085_2351,
+            0x31F7_B242_A4B9_6D6E,
+        ];
+        for (c, (pool, model, promoters)) in cases.iter().enumerate() {
+            let got = digest(pool, *model, promoters);
+            assert_eq!(got, expected[c], "case {c}: {got:#018x}");
+        }
+    }
+
     #[test]
     fn exclusions_respected() {
         let pool = pool(20_000);
