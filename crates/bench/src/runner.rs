@@ -109,9 +109,9 @@ pub fn run_all_methods(setup: &ExperimentSetup<'_>, prepared: &Prepared) -> Vec<
     });
 
     // BAB — with the paper's plain-greedy ComputeBound (Algorithm 2 as
-    // printed). Our CELF-accelerated variant is measured separately in the
-    // `ablation_lazy`/`bounds` benches; using it here would hide the very
-    // rescan cost BAB-P's speedup claim is about.
+    // printed). Our CELF-accelerated variant is measured against it by
+    // `bench_solver`'s `bab-celf` and `bab-plain` rows; using it here would
+    // hide the very rescan cost BAB-P's speedup claim is about.
     let instance = OipaInstance::new(
         &prepared.pool,
         setup.model,

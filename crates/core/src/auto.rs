@@ -116,26 +116,26 @@ pub fn solve_auto_theta(
     let mut rounds = Vec::new();
     let mut round_idx = 0u64;
     loop {
-        let solve_pool = MrrPool::generate_parallel(
+        let solve_pool = MrrPool::try_generate_parallel(
             graph,
             table,
             campaign,
             theta,
             config.seed ^ (round_idx << 1),
             config.threads,
-        );
+        )?;
         let instance = OipaInstance::new(&solve_pool, model, promoters.to_vec(), k)?;
         let solution = BranchAndBound::try_new(&instance, config.bab)?.solve();
 
         // Fresh, larger validation pool with a disjoint seed stream.
-        let fresh_pool = MrrPool::generate_parallel(
+        let fresh_pool = MrrPool::try_generate_parallel(
             graph,
             table,
             campaign,
             (theta * 2).min(config.max_theta.max(theta)),
             config.seed ^ (round_idx << 1) ^ 0xf00d,
             config.threads,
-        );
+        )?;
         let mut fresh_est = AuEstimator::new(&fresh_pool, model);
         let fresh = fresh_est.evaluate(&solution.plan);
         rounds.push(ThetaRound {

@@ -1,6 +1,7 @@
-//! Shared CELF lazy-greedy machinery: the max-heap entry used by every
-//! CELF loop in the crate (τ-bound greedy, relaxed-curve greedy,
-//! heterogeneous greedy), with one deterministic ordering — gain
+//! Shared CELF lazy-greedy machinery: the max-heap entry used by the
+//! crate's two CELF loops — the τ-bound greedy of `ComputeBound`
+//! ([`greedy`](crate::greedy)) and the served envelope greedy
+//! ([`relaxed`](crate::relaxed)) — with one deterministic ordering: gain
 //! descending, ties broken toward the smaller `(piece, node)` pair so the
 //! pop sequence is a total order independent of heap internals.
 

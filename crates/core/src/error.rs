@@ -119,6 +119,21 @@ impl std::fmt::Display for OipaError {
 
 impl std::error::Error for OipaError {}
 
+impl From<oipa_sampler::PoolBuildError> for OipaError {
+    fn from(e: oipa_sampler::PoolBuildError) -> Self {
+        match e {
+            oipa_sampler::PoolBuildError::TooManyPieces(got) => OipaError::TooLarge {
+                what: "campaign piece count ℓ".to_string(),
+                limit: oipa_sampler::MAX_PIECES,
+                got,
+            },
+            other => OipaError::Mismatch {
+                what: other.to_string(),
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

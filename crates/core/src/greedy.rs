@@ -9,8 +9,9 @@
 //! * [`compute_bound_celf`] — the same greedy with CELF lazy evaluation
 //!   (valid because τ is submodular): stale gains sit in a max-heap and
 //!   are only recomputed when popped. Identical output, far fewer
-//!   evaluations. This is the default inside branch-and-bound; the
-//!   `ablation_lazy` bench quantifies the difference.
+//!   evaluations. This is the default inside branch-and-bound;
+//!   `bench_solver`'s `bab-plain` rows, beside its `bab-celf` rows,
+//!   quantify the difference.
 //!
 //! [`compute_bound_celf_with`] additionally supports **cross-node gain
 //! caching**: instead of re-evaluating every `(piece, promoter)` singleton

@@ -19,6 +19,7 @@
 //! | Algorithm 2 `ComputeBound` (greedy, CELF-accelerated) | [`greedy`] |
 //! | Algorithm 3 `ComputeBoundPro` (progressive thresholds) | [`progressive`] |
 //! | Algorithm 1 branch-and-bound driver | [`bab`] |
+//! | §VII concave-envelope relaxation (the served `greedy`) | [`relaxed`] |
 //! | exact enumeration for validation | [`brute`] |
 //! | §IV-A non-submodularity / monotonicity witnesses | tests throughout |
 //!
@@ -36,7 +37,6 @@ mod celf;
 pub mod error;
 pub mod estimator;
 pub mod greedy;
-pub mod hetero;
 pub mod plan;
 pub mod progressive;
 pub mod relaxed;

@@ -188,7 +188,8 @@ impl TangentTable {
     /// Ablation variant: every anchor reuses the coverage-0 line, i.e. the
     /// bound is *never refined* as partial plans grow. Still a valid upper
     /// bound (the anchor-0 majorant dominates all logits ≥ −α), just
-    /// looser — the `ablation_bounds` bench measures the pruning it costs.
+    /// looser — `bench_solver`'s `refine_anchors: false` rows measure the
+    /// pruning it costs.
     pub fn unrefined(model: LogisticAdoption, ell: usize) -> Self {
         Self::build(model, ell, false)
     }

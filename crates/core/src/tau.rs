@@ -275,12 +275,6 @@ impl<'a> TauState<'a> {
         acc
     }
 
-    /// Whether piece `j` of sample `i` is covered.
-    #[inline]
-    pub fn is_covered(&self, i: usize, j: usize) -> bool {
-        self.bit(i, j)
-    }
-
     /// Applies `f` to every active (count > 0) sample in ascending sample
     /// order — the one canonical iteration every total accessor shares,
     /// so their accumulation orders can never diverge.

@@ -268,15 +268,6 @@ impl DiGraph {
         }
         h.finish()
     }
-
-    /// Total heap bytes used by the CSR arrays (approximate).
-    pub fn heap_bytes(&self) -> usize {
-        (self.out_offsets.capacity() + self.in_offsets.capacity()) * 4
-            + (self.out_targets.capacity()
-                + self.in_sources.capacity()
-                + self.in_edge_ids.capacity())
-                * 4
-    }
 }
 
 #[cfg(test)]

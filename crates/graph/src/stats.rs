@@ -67,19 +67,6 @@ pub fn out_degree_histogram(graph: &DiGraph) -> Vec<usize> {
     hist
 }
 
-/// In-degree histogram.
-pub fn in_degree_histogram(graph: &DiGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for u in graph.nodes() {
-        let d = graph.in_degree(u);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 /// Clauset–Shalizi–Newman discrete MLE for the power-law exponent of a
 /// degree sequence, `α̂ = 1 + n / Σ ln(d_i / (d_min − 1/2))` over degrees
 /// `d_i ≥ d_min`.
@@ -130,7 +117,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::erdos_renyi_gnm(&mut rng, 50, 200);
         assert_eq!(out_degree_histogram(&g).iter().sum::<usize>(), 50);
-        assert_eq!(in_degree_histogram(&g).iter().sum::<usize>(), 50);
     }
 
     #[test]

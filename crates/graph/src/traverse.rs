@@ -15,7 +15,6 @@ use crate::csr::{DiGraph, NodeId};
 pub struct BfsScratch {
     stamp: u32,
     marks: Vec<u32>,
-    queue: Vec<NodeId>,
 }
 
 impl BfsScratch {
@@ -24,7 +23,6 @@ impl BfsScratch {
         BfsScratch {
             stamp: 0,
             marks: vec![0; n],
-            queue: Vec::new(),
         }
     }
 
@@ -36,7 +34,6 @@ impl BfsScratch {
             self.marks.iter_mut().for_each(|m| *m = 0);
             1
         });
-        self.queue.clear();
     }
 
     /// Marks `v` visited in the current epoch; returns `true` if newly marked.
@@ -55,12 +52,6 @@ impl BfsScratch {
     #[inline]
     pub fn is_marked(&self, v: NodeId) -> bool {
         self.marks[v as usize] == self.stamp
-    }
-
-    /// Access to the internal queue buffer (for callers running their own BFS).
-    #[inline]
-    pub fn queue_mut(&mut self) -> &mut Vec<NodeId> {
-        &mut self.queue
     }
 }
 

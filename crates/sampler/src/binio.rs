@@ -15,7 +15,7 @@
 //! [4]  version (u32; only v4 is read or written)
 //! [4]  n (u32)
 //! [8]  θ (u64)
-//! [4]  ℓ (u32)
+//! [4]  ℓ (u32, 1..=255: see `MAX_PIECES`)
 //! [θ·4]  roots (u32)
 //! ℓ × piece:
 //!   [(n+1)·8]  idx_offsets (u64): node v's postings are the
@@ -62,7 +62,7 @@
 //! [`read_pool`] runs both over a byte slice, and the store runs them
 //! over its file seam: one decoder either way.
 
-use crate::mrr::MrrPool;
+use crate::mrr::{MrrPool, MAX_PIECES};
 use crate::rr::RrStore;
 use oipa_graph::binio::{write_u32, write_u64};
 use oipa_graph::checksum::{Crc32, Crc32Writer};
@@ -241,6 +241,11 @@ impl RawPool {
         let (n, theta, ell) = (field(12, 4), field(16, 8), field(24, 4));
         if ell == 0 {
             return Err(invalid("pool must have at least one piece"));
+        }
+        if ell > MAX_PIECES as u64 {
+            return Err(invalid(format!(
+                "ℓ = {ell} pieces exceeds the {MAX_PIECES}-piece limit"
+            )));
         }
         if theta > 1 << 32 {
             return Err(invalid(format!("θ = {theta} overflows u32 sample ids")));
@@ -625,6 +630,21 @@ mod tests {
         buf.truncate(buf.len() - 4);
         let err = read_pool(&buf[..]).unwrap_err();
         assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    /// A header claiming more pieces than solvers can count is a format
+    /// error even under a valid checksum.
+    #[test]
+    fn more_than_255_pieces_rejected() {
+        let (g, table, campaign) = fig1();
+        let pool = MrrPool::generate(&g, &table, &campaign, 50, 3);
+        let mut buf = Vec::new();
+        write_pool(&pool, &mut buf).unwrap();
+        buf[24..28].copy_from_slice(&256u32.to_le_bytes());
+        reseal(&mut buf);
+        let err = read_pool(&buf[..]).unwrap_err();
+        assert!(matches!(err, PoolIoError::Format(_)), "{err}");
+        assert!(err.to_string().contains("255-piece limit"), "{err}");
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub mod simulate;
 pub mod testkit;
 
 pub use edge_prob::{EdgeProb, MaterializedProbs, PieceProbs};
-pub use mrr::{MrrPool, PoolBuildError, RepairOutcome};
+pub use mrr::{MrrPool, PoolBuildError, RepairOutcome, MAX_PIECES};
 pub use rr::{sample_rr_set, LiveInEdges, RrPool, RrStore};

@@ -39,6 +39,11 @@ pub struct MrrPool {
 /// results are reproducible regardless of thread count.
 const CHUNK: usize = 2048;
 
+/// The most pieces a pool may hold. Solvers count how many pieces reach
+/// each sample in a `u8`, so pools are built ([`MrrPool::try_generate`])
+/// and decoded ([`crate::binio`]) only up to this ℓ.
+pub const MAX_PIECES: usize = u8::MAX as usize;
+
 /// Why a pool could not be generated from the given inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolBuildError {
@@ -48,6 +53,8 @@ pub enum PoolBuildError {
     TableMismatch(String),
     /// The campaign has no pieces.
     EmptyCampaign,
+    /// The campaign has more than [`MAX_PIECES`] pieces.
+    TooManyPieces(usize),
     /// Repair inputs do not match the pool being repaired.
     PoolMismatch(String),
 }
@@ -60,6 +67,12 @@ impl std::fmt::Display for PoolBuildError {
                 write!(f, "probability table does not match the graph: {m}")
             }
             PoolBuildError::EmptyCampaign => write!(f, "campaign has no pieces"),
+            PoolBuildError::TooManyPieces(ell) => {
+                write!(
+                    f,
+                    "campaign has {ell} pieces; a pool holds at most {MAX_PIECES}"
+                )
+            }
             PoolBuildError::PoolMismatch(m) => {
                 write!(f, "repair inputs do not match the pool: {m}")
             }
@@ -115,6 +128,9 @@ impl MrrPool {
         }
         if campaign.is_empty() {
             return Err(PoolBuildError::EmptyCampaign);
+        }
+        if campaign.len() > MAX_PIECES {
+            return Err(PoolBuildError::TooManyPieces(campaign.len()));
         }
         table
             .check_against(graph)
@@ -499,6 +515,20 @@ fn generate_chunk(
 mod tests {
     use super::*;
     use crate::testkit::fig1;
+
+    #[test]
+    fn campaigns_over_255_pieces_are_refused() {
+        let (g, table, _) = fig1();
+        let mut rng = SmallRng::seed_from_u64(1);
+        let widest = Campaign::sample_one_hot(&mut rng, 2, MAX_PIECES);
+        let pool = MrrPool::try_generate(&g, &table, &widest, 20, 1).unwrap();
+        assert_eq!(pool.ell(), MAX_PIECES);
+        let too_many = Campaign::sample_one_hot(&mut rng, 2, MAX_PIECES + 1);
+        assert_eq!(
+            MrrPool::try_generate(&g, &table, &too_many, 20, 1).unwrap_err(),
+            PoolBuildError::TooManyPieces(256)
+        );
+    }
 
     #[test]
     fn fig1_reachability_matches_example1() {

@@ -5,7 +5,7 @@
 //! tests, the examples, and the bench harness can reuse the exact Fig. 1
 //! instance the paper's Examples 1–3 are computed on.
 
-use oipa_graph::{DiGraph, NodeId};
+use oipa_graph::DiGraph;
 use oipa_topics::{
     Campaign, EdgeProbsBuilder, EdgeTopicProbs, Piece, SparseTopicVector, TopicVector,
 };
@@ -71,12 +71,4 @@ pub fn small_random_instance<R: Rng + ?Sized>(
     );
     let campaign = Campaign::sample_one_hot(rng, topics, ell);
     (g, table, campaign)
-}
-
-/// All singleton assignments `(piece, node)` of an instance — the brute
-/// force search space at budget 1.
-pub fn singleton_assignments(n: usize, ell: usize) -> Vec<(usize, NodeId)> {
-    (0..ell)
-        .flat_map(|j| (0..n as NodeId).map(move |v| (j, v)))
-        .collect()
 }

@@ -182,6 +182,12 @@ fn solve_body_validation() {
     // A well-formed request the solver itself rejects: budget 0.
     let req = serde_json::to_string(&solve_request(0, 1_000, 1)).unwrap();
     request(addr, "POST", "/solve", Some(&req)).assert_error(422, "solve_error");
+    // More pieces than a pool can hold (ℓ ≤ 255).
+    let mut wide = solve_request(2, 1_000, 1);
+    wide.campaign = None;
+    wide.ell = Some(300);
+    let req = serde_json::to_string(&wide).unwrap();
+    request(addr, "POST", "/solve", Some(&req)).assert_error(422, "solve_error");
 
     assert_healthy(addr);
     handle.shutdown();

@@ -458,8 +458,8 @@ impl PlannerService {
     }
 
     /// The serde-round-trip wire form of [`Self::store_stats`]: what the
-    /// `oipa-server` `/stats` endpoint serves and `bench serve` reads
-    /// back (see [`oipa_store::StatsSnapshot`]).
+    /// `oipa-server` `/stats` endpoint serves and `wirebench`'s stats
+    /// check reads back (see [`oipa_store::StatsSnapshot`]).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         StatsSnapshot::from(self.store.stats())
     }
@@ -713,7 +713,7 @@ impl PlannerService {
         let (pool, fetched) = self.store.fetch(&key, |ancestor| {
             self.observe_phase("pool_lookup", lookup_started, trace);
             if let Some(repaired) = ancestor.and_then(|a| self.repair(a, &campaign, seed, trace)) {
-                return Ok(repaired);
+                return Ok::<_, OipaError>(repaired);
             }
             let sampling_started = Instant::now();
             let sampled = self.sample_pool(&campaign, theta, seed);
@@ -790,13 +790,9 @@ impl PlannerService {
             });
         };
         check_campaign_topics(campaign, table)?;
-        Ok(Arc::new(
-            MrrPool::try_generate(graph, table, campaign, theta, seed).map_err(|e| {
-                OipaError::Mismatch {
-                    what: e.to_string(),
-                }
-            })?,
-        ))
+        Ok(Arc::new(MrrPool::try_generate(
+            graph, table, campaign, theta, seed,
+        )?))
     }
 
     /// The campaign a request itself names: explicit or seeded one-hot.
@@ -871,27 +867,19 @@ impl PlannerService {
         start: Instant,
         trace: Option<&Trace>,
     ) -> Result<SolveResponse, OipaError> {
-        if !matches!(request.method, Method::Bab | Method::BabP | Method::Plain) {
+        let Some(bab) = solver::bab_config(
+            request.method,
+            request.eps.unwrap_or(DEFAULT_EPS),
+            request.gap,
+            request.max_nodes,
+        ) else {
             return Err(OipaError::config(format!(
                 "auto θ drives the branch-and-bound methods (bab, bab-p, plain); \
                  method {} takes a fixed θ",
                 request.method
             )));
-        }
-        let defaults = AutoThetaConfig::default();
-        let mut bab = match request.method {
-            Method::Bab => oipa_core::BabConfig::bab(),
-            Method::BabP => oipa_core::BabConfig::bab_p(request.eps.unwrap_or(DEFAULT_EPS)),
-            Method::Plain => oipa_core::BabConfig {
-                method: oipa_core::BoundMethod::PlainGreedy,
-                ..oipa_core::BabConfig::bab()
-            },
-            _ => unreachable!("filtered above"),
         };
-        if let Some(gap) = request.gap {
-            bab.gap = gap;
-        }
-        bab.max_nodes = request.max_nodes;
+        let defaults = AutoThetaConfig::default();
         let config = AutoThetaConfig {
             initial_theta: auto.initial_theta.unwrap_or(defaults.initial_theta),
             max_theta: auto.max_theta.unwrap_or(defaults.max_theta),

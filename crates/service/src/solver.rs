@@ -76,27 +76,34 @@ pub trait Solver: Sync {
     fn solve(&self, ctx: &SolveContext<'_>) -> Result<SolverOutput, OipaError>;
 }
 
-/// The three branch-and-bound flavors share a config builder and driver.
-struct BabSolver(Method);
-
-impl BabSolver {
-    fn config(&self, ctx: &SolveContext<'_>) -> BabConfig {
-        let mut config = match self.0 {
-            Method::Bab => BabConfig::bab(),
-            Method::BabP => BabConfig::bab_p(ctx.eps),
-            Method::Plain => BabConfig {
-                method: BoundMethod::PlainGreedy,
-                ..BabConfig::bab()
-            },
-            other => unreachable!("BabSolver registered for {other}"),
-        };
-        if let Some(gap) = ctx.gap {
-            config.gap = gap;
-        }
-        config.max_nodes = ctx.max_nodes;
-        config
+/// The branch-and-bound configuration of `method` — bab, bab-p (with
+/// progressive ε `eps`) or plain — with a request's `gap` override and
+/// node cap applied; `None` for methods that are not branch-and-bound.
+/// The one mapping both the fixed-θ solvers and the auto-θ path use.
+pub(crate) fn bab_config(
+    method: Method,
+    eps: f64,
+    gap: Option<f64>,
+    max_nodes: Option<usize>,
+) -> Option<BabConfig> {
+    let mut config = match method {
+        Method::Bab => BabConfig::bab(),
+        Method::BabP => BabConfig::bab_p(eps),
+        Method::Plain => BabConfig {
+            method: BoundMethod::PlainGreedy,
+            ..BabConfig::bab()
+        },
+        _ => return None,
+    };
+    if let Some(gap) = gap {
+        config.gap = gap;
     }
+    config.max_nodes = max_nodes;
+    Some(config)
 }
+
+/// The three branch-and-bound flavors share [`bab_config`] and one driver.
+struct BabSolver(Method);
 
 impl Solver for BabSolver {
     fn method(&self) -> Method {
@@ -104,8 +111,10 @@ impl Solver for BabSolver {
     }
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Result<SolverOutput, OipaError> {
+        let config = bab_config(self.0, ctx.eps, ctx.gap, ctx.max_nodes)
+            .unwrap_or_else(|| unreachable!("BabSolver registered for {}", self.0));
         let instance = OipaInstance::new(ctx.pool, ctx.model, ctx.promoters.to_vec(), ctx.budget)?;
-        let solution = BranchAndBound::try_new(&instance, self.config(ctx))?.solve();
+        let solution = BranchAndBound::try_new(&instance, config)?.solve();
         Ok(SolverOutput {
             plan: solution.plan,
             utility: solution.utility,

@@ -534,6 +534,48 @@ fn mismatched_campaign_topics_are_typed_errors_everywhere() {
     ));
 }
 
+/// Solvers count a sample's covered pieces in a `u8`, so a campaign of
+/// more than 255 pieces is refused with a typed `TooLarge` on every path
+/// that builds a pool — explicit campaign, seeded `ell` and auto-θ —
+/// before any solver runs.
+#[test]
+fn campaigns_over_255_pieces_are_typed_errors() {
+    let fixture = Fixture::fig1();
+    let service = fixture.service();
+    let mut rng = StdRng::seed_from_u64(3);
+    let too_many = Campaign::sample_one_hot(&mut rng, 2, 300);
+    let too_large = |r: Result<SolveResponse, OipaError>| {
+        matches!(
+            r,
+            Err(OipaError::TooLarge {
+                limit: 255,
+                got: 300,
+                ..
+            })
+        )
+    };
+
+    let mut fixed = fixture.request(Method::Greedy);
+    fixed.campaign = Some(too_many.clone());
+    fixed.theta = Some(100);
+    assert!(too_large(service.solve(&fixed)));
+
+    let mut seeded = fixed.clone();
+    seeded.campaign = None;
+    seeded.ell = Some(300);
+    assert!(too_large(service.solve(&seeded)));
+
+    let mut auto = fixture.request(Method::Bab);
+    auto.campaign = Some(too_many);
+    auto.theta = None;
+    auto.auto_theta = Some(AutoThetaRequest {
+        initial_theta: Some(100),
+        max_theta: Some(200),
+        rel_tol: None,
+    });
+    assert!(too_large(service.solve(&auto)));
+}
+
 /// The PR-5 auto-θ bugfix: a malformed `auto_theta` policy must come
 /// back as a typed `InvalidConfig` at the service boundary — never a
 /// panic (or a silent accept) deep in the sampler. All three knobs are

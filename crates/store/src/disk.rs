@@ -682,12 +682,6 @@ impl DiskTier {
             .count()
     }
 
-    /// Whole-tier purges over this directory's lifetime, and the most
-    /// recent one's record.
-    pub fn purge_info(&self) -> (u64, Option<PurgeRecord>) {
-        (self.manifest.purges, self.manifest.last_purge)
-    }
-
     /// The tier's current health (see [`TierHealth`]).
     pub fn health(&self) -> TierHealthSnapshot {
         self.health.snapshot()

@@ -401,11 +401,6 @@ impl PoolStore {
         Ok(())
     }
 
-    /// Whether a disk tier is attached.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// The disk tier, when attached (admin surface: `entries`, `verify`,
     /// `gc`, `open_report`). The guard holds the tier's single-writer
     /// lock for its lifetime.

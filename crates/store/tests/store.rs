@@ -756,7 +756,7 @@ fn replaced_pinned_pool_is_not_spilled_to_disk() {
 
 /// The `StatsSnapshot` wire type round-trips through JSON bitwise: it is
 /// the contract between the server's `/stats` endpoint and every client
-/// (`oipa-cli bench serve` included), so serialization must lose nothing
+/// (`wirebench`'s stats check included), so serialization must lose nothing
 /// — counters, occupancy, the optional disk half, and the schema tag.
 #[test]
 fn stats_snapshot_round_trips_through_json() {

@@ -30,7 +30,6 @@ mod adoption;
 pub mod binio;
 mod campaign;
 mod edge_probs;
-pub mod hetero;
 pub mod lda;
 pub mod tic;
 mod vector;
