@@ -269,3 +269,45 @@ fn repair_metrics_flow_into_an_attached_registry() {
         1
     );
 }
+
+/// Attaching a store directory between deltas keeps the epoch chain and
+/// the dirty history: a pool cached at epoch 0 still repairs after a
+/// third delta, to the answer a cold session gives on the final inputs.
+#[test]
+fn attach_store_between_deltas_keeps_the_repair_path() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let (graph, table) = instance();
+    let request = request();
+    let mut service = PlannerService::new(graph.clone(), table.clone()).unwrap();
+    service.solve(&request).unwrap(); // cached at epoch 0
+
+    let (mut cold_graph, mut cold_table) = (graph, table);
+    let mut evolve = |service: &mut PlannerService| {
+        let delta = random_delta(&mut rng, &cold_graph, cold_table.topic_count());
+        service.apply_delta(&delta).unwrap();
+        let app = cold_graph.apply_delta(&delta).unwrap();
+        cold_table = cold_table.apply_delta(&delta, &app).unwrap();
+        cold_graph = app.graph;
+    };
+    evolve(&mut service);
+    evolve(&mut service);
+    let dir = std::env::temp_dir()
+        .join("oipa-service-delta")
+        .join("attach-between");
+    let _ = std::fs::remove_dir_all(&dir);
+    service
+        .attach_store(oipa_service::StoreConfig::new(&dir))
+        .unwrap();
+    evolve(&mut service);
+    assert_eq!(service.lineage().unwrap().epoch(), 3);
+
+    let repaired = service.solve(&request).unwrap();
+    let repair = repaired.pool_repair.expect("the epoch-0 pool was repaired");
+    assert_eq!((repair.from_epoch, repair.to_epoch), (0, 3));
+    let cold = PlannerService::new(cold_graph, cold_table)
+        .unwrap()
+        .solve(&request)
+        .unwrap();
+    assert_eq!(repaired.plan, cold.plan);
+    assert_eq!(repaired.utility.to_bits(), cold.utility.to_bits());
+}
