@@ -68,7 +68,7 @@ mod solver;
 pub use oipa_graph::{EdgeChange, GraphDelta, Lineage, TopicProb};
 pub use oipa_store::{
     ArenaStats, DiskStats, PoolArena, PoolKey, PoolStore, PoolTier, PurgeRecord, StatsSnapshot,
-    StoreConfig, StoreStats, TierHealthSnapshot, STATS_SCHEMA,
+    StoreConfig, TierHealthSnapshot, STATS_SCHEMA,
 };
 pub use request::{
     AutoThetaReport, AutoThetaRequest, DeltaReport, Method, PoolRepair, SearchStats,
@@ -82,7 +82,7 @@ use oipa_core::{OipaError, OipaInstance};
 use oipa_graph::{DiGraph, NodeId};
 use oipa_obs::{Counter, Histogram, Registry, Trace};
 use oipa_sampler::{simulate, MrrPool, RrPool};
-use oipa_store::{Ancestor, Fetched};
+use oipa_store::{Ancestor, Fetched, Invalidation};
 use oipa_topics::{Campaign, EdgeTopicProbs, LogisticAdoption};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,14 +112,9 @@ pub const DEFAULT_EPS: f64 = 0.5;
 pub struct PlannerService {
     graph: Option<DiGraph>,
     table: Option<EdgeTopicProbs>,
-    /// The epoch chain the session's graph is at: rooted at the (graph,
-    /// table) content fingerprint, advanced by each applied delta's
-    /// digest. `None` on pool-only sessions (no graph to mutate).
-    lineage: Option<Lineage>,
-    /// `epoch_dirty[i]` is the dirty-target set of the delta that moved
-    /// epoch `i` to `i + 1` — a pool stamped at epoch `e` repairs
-    /// against the union of `epoch_dirty[e..]`.
-    epoch_dirty: Vec<Vec<NodeId>>,
+    /// The pool store, which also owns the epoch chain the graph is at
+    /// (rooted at the (graph, table) content fingerprint, advanced by
+    /// each applied delta's digest) and each delta's dirty targets.
     store: PoolStore,
     /// Arena key of an injected pool, used when a request names no
     /// campaign of its own.
@@ -245,28 +240,22 @@ impl PlannerService {
     /// Creates a session that samples its own pools from a graph and its
     /// edge probabilities (validated against each other).
     pub fn new(graph: DiGraph, table: EdgeTopicProbs) -> Result<Self, OipaError> {
-        if graph.node_count() == 0 {
-            return Err(OipaError::config("the graph has no nodes"));
-        }
-        table
-            .check_against(&graph)
-            .map_err(|e| OipaError::Mismatch {
-                what: e.to_string(),
-            })?;
-        let root = instance_fingerprint(&graph, &table);
-        let store = PoolStore::memory_only(DEFAULT_ARENA_BYTES);
-        store.set_lineage(&[root]).map_err(store_err)?;
-        Ok(PlannerService {
-            graph: Some(graph),
-            table: Some(table),
-            lineage: Some(Lineage::new(root)),
-            epoch_dirty: Vec::new(),
-            store,
+        let mut service = PlannerService::empty();
+        service.attach_graph(graph, table)?;
+        Ok(service)
+    }
+
+    /// A session with no inputs and an empty memory-only store.
+    fn empty() -> Self {
+        PlannerService {
+            graph: None,
+            table: None,
+            store: PoolStore::memory_only(DEFAULT_ARENA_BYTES),
             default_pool: None,
             default_campaign: None,
             flat_cache: Mutex::new(None),
             obs: OnceLock::new(),
-        })
+        }
     }
 
     /// Creates a session around a pre-sampled pool (e.g. loaded from a
@@ -276,21 +265,14 @@ impl PlannerService {
         // The key carries the pool's content fingerprint, so two
         // different injected pools never alias one entry.
         let key = PoolKey::external("injected", &pool);
-        let store = PoolStore::memory_only(DEFAULT_ARENA_BYTES);
+        let service = PlannerService {
+            default_pool: Some(key.clone()),
+            ..PlannerService::empty()
+        };
         // Pinned: byte pressure from sampled pools must never evict the
         // pool the session was built around.
-        store.insert_pinned(key.clone(), Arc::new(pool));
-        PlannerService {
-            graph: None,
-            table: None,
-            lineage: None,
-            epoch_dirty: Vec::new(),
-            store,
-            default_pool: Some(key),
-            default_campaign: None,
-            flat_cache: Mutex::new(None),
-            obs: OnceLock::new(),
-        }
+        service.store.insert_pinned(key, Arc::new(pool));
+        service
     }
 
     /// Attaches a metrics registry: solver-phase timings, pool-outcome
@@ -307,17 +289,13 @@ impl PlannerService {
     /// spill to the store directory, arena misses consult it before
     /// resampling, and a later session over the same directory serves
     /// yesterday's pools at disk speed. When the session already owns a
-    /// graph and probability table, the store is stamped with their
-    /// fingerprint — a directory of pools sampled from *different*
-    /// inputs is purged, never served.
+    /// graph and probability table, the directory is stamped with their
+    /// epoch chain — the full chain, so a directory stamped with an
+    /// ancestor epoch keeps its pools (stale-repairable), while one of
+    /// pools sampled from *different* inputs is purged, never served.
     pub fn attach_store(&mut self, config: StoreConfig) -> Result<(), OipaError> {
-        self.store.attach_disk(config).map_err(store_err)?;
-        if let Some(lineage) = self.lineage.clone() {
-            // The full chain, not just the head: a directory stamped with
-            // an ancestor epoch keeps its pools (stale-repairable), only
-            // a directory from an unrelated instance is purged.
-            self.restamp(lineage.fingerprints())?;
-        }
+        let invalidated = self.store.attach_disk(config).map_err(store_err)?;
+        self.record_invalidation(invalidated);
         Ok(())
     }
 
@@ -340,41 +318,34 @@ impl PlannerService {
         if graph.node_count() == 0 {
             return Err(OipaError::config("the graph has no nodes"));
         }
-        table
-            .check_against(&graph)
-            .map_err(|e| OipaError::Mismatch {
-                what: e.to_string(),
-            })?;
+        table.check_against(&graph).map_err(mismatch)?;
         self.store.evict_unpinned();
         // Neither tier may keep serving pools sampled from the old
         // inputs: restamp (purging on lineage divergence) before the new
         // graph answers anything. A replacement graph starts a fresh
         // lineage — deltas applied to the old one do not carry over.
-        let root = instance_fingerprint(&graph, &table);
-        self.restamp(&[root])?;
-        self.lineage = Some(Lineage::new(root));
-        self.epoch_dirty.clear();
+        let invalidated = self
+            .store
+            .set_root(instance_fingerprint(&graph, &table))
+            .map_err(store_err)?;
+        self.record_invalidation(invalidated);
         self.graph = Some(graph);
         self.table = Some(table);
         *lock(&self.flat_cache) = None;
         Ok(())
     }
 
-    /// Announces a lineage to the pool store and folds the outcome into
-    /// the invalidation metrics: entries that went stale count as `dirty`,
-    /// entries that disappeared count as `purged`. Returns both counts.
-    fn restamp(&self, lineage: &[u64]) -> Result<(u64, u64), OipaError> {
-        let before = self.store.stats();
-        let purged = self.store.set_lineage(lineage).map_err(store_err)?;
-        let (dirty, dropped) = invalidation_counts(&before, &self.store.stats());
+    /// Folds what a lineage change did to the store into the
+    /// invalidation metrics: entries that went stale count as `dirty`,
+    /// entries that disappeared count as `purged`.
+    fn record_invalidation(&self, invalidated: Invalidation) {
         if let Some(obs) = self.obs.get() {
-            obs.invalidated_dirty.add(dirty);
-            obs.invalidated_purged.add(dropped);
-            if purged {
+            obs.invalidated_dirty.add(invalidated.dirty as u64);
+            obs.invalidated_purged.add(invalidated.dropped as u64);
+            if invalidated.purged {
                 obs.store_purges.inc();
             }
         }
-        Ok((dirty, dropped))
     }
 
     /// Applies a [`GraphDelta`] to the session: rebuilds the graph and
@@ -392,51 +363,37 @@ impl PlannerService {
         if delta.is_empty() {
             return Err(OipaError::config("the delta performs no operations"));
         }
-        let (Some(graph), Some(table)) = (self.graph.as_ref(), self.table.as_ref()) else {
-            return Err(OipaError::MissingInput {
-                what: "the social graph and edge probabilities".to_string(),
-                hint: "deltas mutate the session's graph; construct the service with \
-                       PlannerService::new(graph, table) or call attach_graph"
-                    .to_string(),
-            });
-        };
-        let app = graph.apply_delta(delta).map_err(|e| OipaError::Mismatch {
-            what: e.to_string(),
-        })?;
-        let new_table = table
-            .apply_delta(delta, &app)
-            .map_err(|e| OipaError::Mismatch {
-                what: e.to_string(),
-            })?;
-        // Inputs validated; commit. The lineage exists whenever the graph
-        // does (both are set together by new/attach_graph).
-        let lineage = self
-            .lineage
-            .as_mut()
-            .expect("graph sessions carry a lineage");
-        let fingerprint = lineage.advance(app.digest);
-        let epoch = lineage.epoch();
-        let chain = lineage.fingerprints().to_vec();
-        let (pools_dirty, pools_purged) = self.restamp(&chain)?;
-        self.epoch_dirty.push(app.dirty_targets.clone());
+        let (graph, table) = self.inputs("deltas mutate the session's graph")?;
+        let app = graph.apply_delta(delta).map_err(mismatch)?;
+        let new_table = table.apply_delta(delta, &app).map_err(mismatch)?;
+        // Inputs validated; commit. The store holds a lineage whenever
+        // the session has a graph (new/attach_graph set its root).
+        let dirty_targets = app.dirty_targets.len();
+        let (fingerprint, invalidated) = self
+            .store
+            .advance(app.digest, app.dirty_targets)
+            .map_err(store_err)?;
+        self.record_invalidation(invalidated);
         self.graph = Some(app.graph);
         self.table = Some(new_table);
         *lock(&self.flat_cache) = None;
         Ok(DeltaReport {
-            epoch,
+            epoch: self.store.current_epoch(),
             fingerprint,
             ops: delta.op_count(),
-            dirty_targets: app.dirty_targets.len(),
-            pools_dirty: pools_dirty as usize,
-            pools_purged: pools_purged as usize,
+            dirty_targets,
+            pools_dirty: invalidated.dirty,
+            pools_purged: invalidated.dropped,
             seconds: start.elapsed().as_secs_f64(),
         })
     }
 
-    /// The session's epoch chain: `None` on pool-only sessions, else the
-    /// fingerprint lineage from the cold-load root to the current epoch.
-    pub fn lineage(&self) -> Option<&Lineage> {
-        self.lineage.as_ref()
+    /// The session's epoch chain, as the pool store holds it: `None` on
+    /// pool-only sessions, else the fingerprint lineage from the
+    /// cold-load root to the current epoch.
+    pub fn lineage(&self) -> Option<Lineage> {
+        self.graph.as_ref()?;
+        Lineage::from_fingerprints(self.store.lineage())
     }
 
     /// Replaces the memory tier's byte budget, evicting (and, with a
@@ -452,16 +409,11 @@ impl PlannerService {
     }
 
     /// Occupancy and counters of both pool tiers (the disk half is
-    /// `None` until [`Self::attach_store`]).
-    pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
-    /// The serde-round-trip wire form of [`Self::store_stats`]: what the
+    /// `None` until [`Self::attach_store`]) in their wire form: what the
     /// `oipa-server` `/stats` endpoint serves and `wirebench`'s stats
     /// check reads back (see [`oipa_store::StatsSnapshot`]).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot::from(self.store.stats())
+        self.store.stats()
     }
 
     /// The disk tier's health, when a store is attached (`None` on
@@ -617,14 +569,7 @@ impl PlannerService {
     /// Forward Monte-Carlo evaluation of a plan on the session's graph.
     pub fn simulate(&self, request: &SimulateRequest) -> Result<SimulateResponse, OipaError> {
         let start = Instant::now();
-        let (Some(graph), Some(table)) = (self.graph.as_ref(), self.table.as_ref()) else {
-            return Err(OipaError::MissingInput {
-                what: "the social graph and edge probabilities".to_string(),
-                hint: "simulation spreads cascades on the graph; construct the service with \
-                       PlannerService::new(graph, table) or call attach_graph"
-                    .to_string(),
-            });
-        };
+        let (graph, table) = self.inputs("simulation spreads cascades on the graph")?;
         check_campaign_topics(&request.campaign, table)?;
         if request.plan.ell() != request.campaign.len() {
             return Err(OipaError::Mismatch {
@@ -732,9 +677,10 @@ impl PlannerService {
 
     /// Delta-repairs a stale ancestor of a missed key: resamples only the
     /// RR sets whose walks crossed a dirty target since the ancestor's
-    /// epoch. `None` when the session has no lineage or graph to repair
-    /// against, or the ancestor is not older than the current epoch —
-    /// the caller samples cold.
+    /// epoch. `None` when the session has no graph to repair against, or
+    /// the store knows no dirty history from the ancestor's epoch to the
+    /// current one ([`PoolStore::dirty_since`]) — the caller samples
+    /// cold.
     fn repair(
         &self,
         (stale, epoch): Ancestor,
@@ -742,16 +688,15 @@ impl PlannerService {
         seed: u64,
         trace: Option<&Trace>,
     ) -> Option<(Arc<MrrPool>, PoolOutcome)> {
-        let lineage = self.lineage.as_ref()?;
         let (graph, table) = (self.graph.as_ref()?, self.table.as_ref()?);
         // Accumulated invalidation frontier from the pool's epoch to now.
-        let dirty = self.dirty_since(epoch)?;
+        let dirty = self.store.dirty_since(epoch)?;
         let started = Instant::now();
         let (pool, outcome) = stale.repaired(graph, table, campaign, &dirty, seed).ok()?;
         self.observe_phase("repair", started, trace);
         let repair = PoolRepair {
             from_epoch: epoch,
-            to_epoch: lineage.epoch(),
+            to_epoch: self.store.current_epoch(),
             sets_total: outcome.sets_total,
             sets_resampled: outcome.sets_resampled,
             seconds: started.elapsed().as_secs_f64(),
@@ -759,19 +704,19 @@ impl PlannerService {
         Some((Arc::new(pool), PoolOutcome::Repaired(repair)))
     }
 
-    /// The union of every dirty-target set from `epoch` (exclusive of
-    /// nothing — the delta that retired `epoch` is included) to the
-    /// current epoch, sorted and deduplicated. `None` if `epoch` is not
-    /// strictly older than the current epoch.
-    fn dirty_since(&self, epoch: u64) -> Option<Vec<NodeId>> {
-        let tail = self.epoch_dirty.get(epoch as usize..)?;
-        if tail.is_empty() {
-            return None;
+    /// The session's graph and probability table, or a typed error
+    /// saying `why` the request needs them.
+    fn inputs(&self, why: &str) -> Result<(&DiGraph, &EdgeTopicProbs), OipaError> {
+        match (self.graph.as_ref(), self.table.as_ref()) {
+            (Some(graph), Some(table)) => Ok((graph, table)),
+            _ => Err(OipaError::MissingInput {
+                what: "the social graph and edge probabilities".to_string(),
+                hint: format!(
+                    "{why}; construct the service with PlannerService::new(graph, table) or \
+                     call attach_graph"
+                ),
+            }),
         }
-        let mut dirty: Vec<NodeId> = tail.iter().flatten().copied().collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        Some(dirty)
     }
 
     /// Samples a pool for a campaign (the cache-miss slow path).
@@ -781,14 +726,7 @@ impl PlannerService {
         theta: usize,
         seed: u64,
     ) -> Result<Arc<MrrPool>, OipaError> {
-        let (Some(graph), Some(table)) = (self.graph.as_ref(), self.table.as_ref()) else {
-            return Err(OipaError::MissingInput {
-                what: "the social graph and edge probabilities".to_string(),
-                hint: "sampling a pool for this campaign needs them; construct the service \
-                       with PlannerService::new(graph, table) or call attach_graph"
-                    .to_string(),
-            });
-        };
+        let (graph, table) = self.inputs("sampling a pool for this campaign needs them")?;
         check_campaign_topics(campaign, table)?;
         Ok(Arc::new(MrrPool::try_generate(
             graph, table, campaign, theta, seed,
@@ -904,14 +842,7 @@ impl PlannerService {
                        `campaign` or `ell`"
                     .to_string(),
             })?;
-        let (Some(graph), Some(table)) = (self.graph.as_ref(), self.table.as_ref()) else {
-            return Err(OipaError::MissingInput {
-                what: "the social graph and edge probabilities".to_string(),
-                hint: "auto θ resamples pools per round; construct the service with \
-                       PlannerService::new(graph, table) or call attach_graph"
-                    .to_string(),
-            });
-        };
+        let (graph, table) = self.inputs("auto θ resamples pools per round")?;
         check_campaign_topics(&campaign, table)?;
         let promoters = resolve_promoters(
             request.promoters.clone(),
@@ -959,23 +890,19 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Maps an input-validation failure into the typed mismatch error.
+fn mismatch(e: impl ToString) -> OipaError {
+    OipaError::Mismatch {
+        what: e.to_string(),
+    }
+}
+
 /// Maps a store-directory failure into the service's typed error space.
 fn store_err(e: oipa_store::StoreError) -> OipaError {
     OipaError::Io {
         what: "the persistent pool store".to_string(),
         detail: e.to_string(),
     }
-}
-
-/// How many store entries (across both tiers) went stale and how many
-/// disappeared between two stats snapshots — the per-restamp deltas
-/// behind `oipa_pool_invalidations_total`.
-fn invalidation_counts(before: &StoreStats, after: &StoreStats) -> (u64, u64) {
-    let stale = |s: &StoreStats| s.mem.stale + s.disk.as_ref().map_or(0, |d| d.stale_entries);
-    let entries = |s: &StoreStats| s.mem.entries + s.disk.as_ref().map_or(0, |d| d.entries);
-    let dirty = stale(after).saturating_sub(stale(before)) as u64;
-    let dropped = entries(before).saturating_sub(entries(after)) as u64;
-    (dirty, dropped)
 }
 
 /// Fingerprint of the sampling inputs a pool store is valid for: mixes

@@ -61,10 +61,23 @@ pub struct SolverOutput {
     pub plan: AssignmentPlan,
     /// MRR-estimated adoption utility, in users.
     pub utility: f64,
-    /// Certified upper bound (branch-and-bound methods only).
+    /// Upper-bound estimate: the paper's greedy-τ bound over the pool,
+    /// not a certificate (branch-and-bound methods only).
     pub upper_bound: Option<f64>,
     /// Search statistics (branch-and-bound methods only).
     pub stats: Option<BabStats>,
+}
+
+impl SolverOutput {
+    /// An output with no bound and no search statistics.
+    fn estimate(plan: AssignmentPlan, utility: f64) -> Self {
+        SolverOutput {
+            plan,
+            utility,
+            upper_bound: None,
+            stats: None,
+        }
+    }
 }
 
 /// A registered solve method.
@@ -134,12 +147,7 @@ impl Solver for GreedySolver {
 
     fn solve(&self, ctx: &SolveContext<'_>) -> Result<SolverOutput, OipaError> {
         let (plan, utility) = envelope_heuristic(ctx.pool, ctx.model, ctx.promoters, ctx.budget);
-        Ok(SolverOutput {
-            plan,
-            utility,
-            upper_bound: None,
-            stats: None,
-        })
+        Ok(SolverOutput::estimate(plan, utility))
     }
 }
 
@@ -167,12 +175,7 @@ impl Solver for BruteSolver {
         let mut estimator = AuEstimator::new(ctx.pool, ctx.model);
         let (plan, utility) =
             brute_force_best(&mut estimator, ctx.promoters, ctx.pool.ell(), ctx.budget);
-        Ok(SolverOutput {
-            plan,
-            utility,
-            upper_bound: None,
-            stats: None,
-        })
+        Ok(SolverOutput::estimate(plan, utility))
     }
 }
 
@@ -204,12 +207,7 @@ impl Solver for ImSolver {
         };
         let mut estimator = AuEstimator::new(ctx.pool, ctx.model);
         let result = im_baseline(flat, ctx.pool, &mut estimator, ctx.promoters, ctx.budget);
-        Ok(SolverOutput {
-            plan: result.plan,
-            utility: result.utility,
-            upper_bound: None,
-            stats: None,
-        })
+        Ok(SolverOutput::estimate(result.plan, result.utility))
     }
 }
 
@@ -224,12 +222,7 @@ impl Solver for TimSolver {
     fn solve(&self, ctx: &SolveContext<'_>) -> Result<SolverOutput, OipaError> {
         let mut estimator = AuEstimator::new(ctx.pool, ctx.model);
         let result = tim_baseline(ctx.pool, &mut estimator, ctx.promoters, ctx.budget);
-        Ok(SolverOutput {
-            plan: result.plan,
-            utility: result.utility,
-            upper_bound: None,
-            stats: None,
-        })
+        Ok(SolverOutput::estimate(result.plan, result.utility))
     }
 }
 

@@ -116,7 +116,7 @@ fn cold_disk_warm_and_mem_warm_answers_are_bitwise_identical() {
         assert_eq!(promoted.utility.to_bits(), cold.utility.to_bits());
         assert_eq!(outcomes(&obs), [0, 1, 1], "a disk hit runs no sampling");
 
-        let stats = restarted.store_stats();
+        let stats = restarted.stats_snapshot();
         let disk = stats.disk.expect("disk tier attached");
         assert_eq!(disk.hits, 1);
     }

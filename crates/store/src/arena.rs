@@ -136,8 +136,9 @@ pub struct PoolArena {
     clock: AtomicU64,
     /// The lineage epoch entries currently serve at. Entries stamped
     /// with any other epoch are stale: misses for [`Self::get`],
-    /// retrievable only through [`Self::get_any`] for repair.
-    current_epoch: AtomicU64,
+    /// retrievable only through [`Self::get_any`] for repair. A copy of
+    /// the owning store's lineage head, written under its write lock.
+    current_epoch: u64,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -154,7 +155,7 @@ impl PoolArena {
             entries: Vec::new(),
             resident_bytes: 0,
             clock: AtomicU64::new(0),
-            current_epoch: AtomicU64::new(0),
+            current_epoch: 0,
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -165,19 +166,19 @@ impl PoolArena {
     /// Moves the arena to a new current lineage epoch. Entries stamped
     /// with any other epoch become stale (misses for [`Self::get`],
     /// repairable via [`Self::get_any`]); they stay resident.
-    pub fn set_current_epoch(&self, epoch: u64) {
-        self.current_epoch.store(epoch, Ordering::Relaxed);
+    pub fn set_current_epoch(&mut self, epoch: u64) {
+        self.current_epoch = epoch;
     }
 
     /// The epoch entries currently serve at.
     pub fn current_epoch(&self) -> u64 {
-        self.current_epoch.load(Ordering::Relaxed)
+        self.current_epoch
     }
 
     /// Whether an entry may serve as-is: pinned pools are epoch-exempt,
     /// sampled pools must carry the current epoch.
     fn servable(&self, entry: &ArenaEntry) -> bool {
-        entry.pinned || entry.epoch == self.current_epoch.load(Ordering::Relaxed)
+        entry.pinned || entry.epoch == self.current_epoch
     }
 
     /// Looks up a pool, refreshing its recency on a hit. Takes `&self`:
@@ -289,7 +290,7 @@ impl PoolArena {
             bytes,
             last_used: AtomicU64::new(clock),
             pinned,
-            epoch: self.current_epoch.load(Ordering::Relaxed),
+            epoch: self.current_epoch,
         });
         self.resident_bytes += bytes;
         evicted.extend(self.enforce_budget(Some(clock)));

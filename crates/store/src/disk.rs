@@ -59,7 +59,8 @@
 use crate::arena::PoolKey;
 use crate::health::{TierHealth, TierHealthSnapshot};
 use crate::io::{DynStoreIo, RealIo, StoreIo};
-use crate::{StoreError, StoreResult};
+use crate::{Invalidation, StoreError, StoreResult};
+use oipa_graph::Lineage;
 use oipa_sampler::binio::{PoolEncoding, PoolIoError, RawPool};
 use oipa_sampler::MrrPool;
 use serde::{Deserialize, Serialize};
@@ -168,12 +169,6 @@ impl Manifest {
             regions: Vec::new(),
             entries: Vec::new(),
         }
-    }
-
-    /// The epoch entries currently serve at: the lineage head's index
-    /// (0 while the lineage is unset).
-    fn current_epoch(&self) -> u64 {
-        self.lineage.len().saturating_sub(1) as u64
     }
 }
 
@@ -651,13 +646,6 @@ impl DiskTier {
         committed.saturating_sub(self.indexed_bytes)
     }
 
-    /// The recorded lineage head fingerprint (0 while unset) — the
-    /// single fingerprint this tier historically recorded, now the last
-    /// element of [`DiskTier::lineage`].
-    pub fn instance(&self) -> u64 {
-        self.manifest.lineage.last().copied().unwrap_or(0)
-    }
-
     /// The recorded instance-fingerprint chain: `lineage()[0]` is the
     /// cold-load root, the last element the current head. Empty while
     /// unset.
@@ -668,13 +656,13 @@ impl DiskTier {
     /// The epoch entries currently serve at (the lineage head's index;
     /// 0 while the lineage is unset).
     pub fn current_epoch(&self) -> u64 {
-        self.manifest.current_epoch()
+        self.manifest.lineage.len().saturating_sub(1) as u64
     }
 
     /// Entries stamped with a non-current epoch: stale, dirty-repairable
     /// through [`crate::PoolStore::get_any`], never served as-is.
     pub fn stale_entries(&self) -> usize {
-        let current = self.manifest.current_epoch();
+        let current = self.current_epoch();
         self.manifest
             .entries
             .iter()
@@ -704,18 +692,20 @@ impl DiskTier {
     ///   [`PurgeRecord`] is written, and a warning naming both head
     ///   fingerprints goes to stderr.
     ///
-    /// Returns whether a whole-tier purge happened.
-    pub fn set_lineage(&mut self, lineage: &[u64]) -> StoreResult<bool> {
+    /// Returns what the change invalidated.
+    pub fn set_lineage(&mut self, lineage: &[u64]) -> StoreResult<Invalidation> {
         if self.manifest.lineage == lineage {
-            return Ok(false);
+            return Ok(Invalidation::default());
         }
-        let prefix = common_prefix(&self.manifest.lineage, lineage);
+        let (stale, entries) = (self.stale_entries(), self.len());
+        let prefix = Lineage::from_fingerprints(lineage.to_vec())
+            .map_or(0, |l| l.common_prefix(&self.manifest.lineage));
         let diverged_at_root =
             prefix == 0 && !self.manifest.lineage.is_empty() && !lineage.is_empty();
         let purge = diverged_at_root && !self.manifest.entries.is_empty();
         if purge {
             let record = PurgeRecord {
-                from: self.instance(),
+                from: self.manifest.lineage.last().copied().unwrap_or(0),
                 to: lineage.last().copied().unwrap_or(0),
                 entries: self.manifest.entries.len(),
             };
@@ -741,16 +731,15 @@ impl DiskTier {
                     // Nothing committed: no pool bytes to preserve.
                     let _ = self.io.remove(&path);
                 }
-                let mut kept = Vec::with_capacity(self.manifest.entries.len());
-                for entry in std::mem::take(&mut self.manifest.entries) {
-                    if entry.file == row.file {
-                        self.indexed_bytes -= entry.bytes;
-                        self.evictions += 1;
-                    } else {
-                        kept.push(entry);
+                let (bytes, evictions) = (&mut self.indexed_bytes, &mut self.evictions);
+                self.manifest.entries.retain(|entry| {
+                    if entry.file != row.file {
+                        return true;
                     }
-                }
-                self.manifest.entries = kept;
+                    *bytes -= entry.bytes;
+                    *evictions += 1;
+                    false
+                });
             }
             // Entries without a region row cannot exist, but never let
             // the invariant depend on it: drop any stragglers.
@@ -772,28 +761,30 @@ impl DiskTier {
             // Shared root: entries past the common prefix were sampled
             // on an abandoned branch — unrepairable, dropped in place
             // (their bytes go dead inside their regions until `gc`).
-            let cutoff = prefix as u64;
-            let mut kept = Vec::with_capacity(self.manifest.entries.len());
             let mut dropped_files: Vec<String> = Vec::new();
-            for entry in std::mem::take(&mut self.manifest.entries) {
-                if entry.epoch < cutoff {
-                    kept.push(entry);
-                } else {
-                    self.indexed_bytes -= entry.bytes;
-                    self.stale_dropped += 1;
-                    if !dropped_files.contains(&entry.file) {
-                        dropped_files.push(entry.file.clone());
-                    }
+            let (bytes, dropped) = (&mut self.indexed_bytes, &mut self.stale_dropped);
+            self.manifest.entries.retain(|entry| {
+                if entry.epoch < prefix as u64 {
+                    return true;
                 }
-            }
-            self.manifest.entries = kept;
+                *bytes -= entry.bytes;
+                *dropped += 1;
+                if !dropped_files.contains(&entry.file) {
+                    dropped_files.push(entry.file.clone());
+                }
+                false
+            });
             for file in dropped_files {
                 self.drop_region_if_empty(&file);
             }
         }
         self.manifest.lineage = lineage.to_vec();
         self.persist()?;
-        Ok(purge)
+        Ok(Invalidation {
+            dirty: self.stale_entries().saturating_sub(stale),
+            dropped: entries - self.len(),
+            purged: purge,
+        })
     }
 
     /// Looks up a pool, reading its entry's arrays out of its region and
@@ -831,7 +822,7 @@ impl DiskTier {
             self.count_miss(lookup);
             return None;
         }
-        let current = self.manifest.current_epoch();
+        let current = self.current_epoch();
         // Entries stamped with a non-current epoch are stale: a serving
         // lookup misses on them (they stay, dirty-repairable), only the
         // repair path reaches them.
@@ -885,7 +876,7 @@ impl DiskTier {
         let idx = self.manifest.entries.iter().position(|e| {
             &e.key == key && e.file == at.file && e.offset == at.offset && e.epoch == at.epoch
         });
-        let servable = lookup == Lookup::AnyEpoch || at.epoch == self.manifest.current_epoch();
+        let servable = lookup == Lookup::AnyEpoch || at.epoch == self.current_epoch();
         match (decoded, idx) {
             (Ok(pool), Some(idx)) if servable => {
                 self.manifest.clock += 1;
@@ -999,7 +990,7 @@ impl DiskTier {
             self.degraded_skips += 1;
             return false;
         }
-        let epoch = self.manifest.current_epoch();
+        let epoch = self.current_epoch();
         let existing = self.manifest.entries.iter().position(|e| &e.key == key);
         if let Some(idx) = existing {
             if self.manifest.entries[idx].epoch == epoch {
@@ -1594,13 +1585,6 @@ impl Drop for DiskTier {
     fn drop(&mut self) {
         let _ = self.flush();
     }
-}
-
-/// How many leading fingerprints two lineages agree on. 0 means the
-/// chains share no root: pools from one must never serve (or be
-/// repaired into) the other.
-pub(crate) fn common_prefix(a: &[u64], b: &[u64]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
 /// Parses the id out of a `region-{id:08x}.dat` file name.

@@ -41,8 +41,9 @@
 //! the disk read and the populate step: every racer after the first
 //! takes the pool the first one promoted into memory or populated, so a
 //! cold key is decoded or populated once. Lock order is always in-flight
-//! guard → disk tier → arena lock, and the arena lock is never held
-//! while acquiring the disk lock, so none of them can deadlock.
+//! guard → epoch state → disk tier → arena lock, and the arena lock is
+//! never held while acquiring the disk lock, so none of them can
+//! deadlock.
 //!
 //! Durability rules: pool payloads are appended to the newest region and
 //! synced, then committed by an atomic temp+sync+rename manifest rewrite
@@ -57,6 +58,14 @@
 //! table) its pools were sampled from — epoch by epoch, so a graph
 //! delta marks cached pools stale-but-repairable instead of purging
 //! them, while pools from an unrelated instance are never served.
+//!
+//! [`PoolStore`] is the one owner of the epoch state: the chain (a
+//! [`Lineage`]) and each delta's dirty targets, behind one mutex taken
+//! before the disk and arena locks. [`PoolStore::advance`] applies a
+//! delta and [`PoolStore::dirty_since`] serves repair. The manifest's
+//! chain (the persisted copy) and the arena's current epoch (read under
+//! the arena's read lock, so memory hits take no further lock) are
+//! copies written only under that mutex.
 //!
 //! ## The `StoreIo` seam and degraded mode
 //!
@@ -75,7 +84,7 @@
 //! memory tier or resample — answers are bitwise-identical either way),
 //! and a request-ticked, exponentially backed-off reopen probe returns
 //! the tier to service once the disk recovers. Health is surfaced
-//! through [`StoreStats::disk_health`] and [`StatsSnapshot`].
+//! through [`StatsSnapshot::disk_health`].
 //!
 //! ```
 //! use oipa_sampler::MrrPool;
@@ -129,11 +138,12 @@ pub use health::{TierHealth, TierHealthSnapshot, HEALTH_DEGRADED, HEALTH_OK};
 pub use io::{DynStoreIo, FaultIo, FaultSchedule, RealIo, StoreIo};
 
 use disk::{Lookup, RawEntry};
+use oipa_graph::{Lineage, NodeId};
 use oipa_sampler::MrrPool;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Default memory-tier byte budget (≈256 MiB).
@@ -267,15 +277,31 @@ pub enum Fetched<R> {
 /// that epoch.
 pub type Ancestor = (Arc<MrrPool>, u64);
 
-/// Combined occupancy/counter snapshot of both tiers.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct StoreStats {
-    /// Memory-tier stats.
-    pub mem: ArenaStats,
-    /// Disk-tier stats (absent on memory-only stores).
-    pub disk: Option<DiskStats>,
-    /// Disk-tier health (absent on memory-only stores).
-    pub disk_health: Option<TierHealthSnapshot>,
+/// What one lineage change did to the cached pools, summed over both
+/// tiers: the counts behind a delta report and the invalidation metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Invalidation {
+    /// Entries that went stale: kept and repairable, no longer served.
+    pub dirty: usize,
+    /// Entries dropped: sampled on an abandoned branch, or purged.
+    pub dropped: usize,
+    /// Whether a tier was purged whole (the new chain's root is foreign).
+    pub purged: bool,
+}
+
+/// The epoch state: the chain (`None` while unset), and in `dirty[e]`
+/// the dirty targets of the delta from epoch `e` to `e + 1` — `None`
+/// for epochs announced only through [`PoolStore::set_lineage`].
+#[derive(Default)]
+struct Epochs {
+    lineage: Option<Lineage>,
+    dirty: Vec<Option<Vec<NodeId>>>,
+}
+
+impl Epochs {
+    fn chain(&self) -> &[u64] {
+        self.lineage.as_ref().map_or(&[], Lineage::fingerprints)
+    }
 }
 
 /// Schema identifier stamped into every [`StatsSnapshot`] (v4 adds the
@@ -287,15 +313,10 @@ pub struct StoreStats {
 /// disk counters).
 pub const STATS_SCHEMA: &str = "oipa.stats/v4";
 
-/// The *wire* form of a store's counters: a versioned, serde-round-trip
-/// snapshot of both tiers shared by every surface that ships stats over
-/// a boundary — the `oipa-server` `GET /stats` endpoint serializes one,
-/// `wirebench` deserializes it back, and the schema tag lets
-/// either side reject a snapshot from an incompatible peer.
-///
-/// [`StoreStats`] is the in-process view; this type exists because the
-/// arena/disk counters previously had no deserialization surface at all,
-/// so nothing outside the process could read them back.
+/// Occupancy and counters of both tiers, in their versioned,
+/// serde-round-trip wire form: the `oipa-server` `GET /stats` endpoint
+/// serializes one, `wirebench` deserializes it back, and the schema tag
+/// lets either side reject a snapshot from an incompatible peer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Schema identifier ([`STATS_SCHEMA`]); consumers should reject a
@@ -321,19 +342,6 @@ impl StatsSnapshot {
     }
 }
 
-impl From<StoreStats> for StatsSnapshot {
-    fn from(s: StoreStats) -> Self {
-        StatsSnapshot {
-            schema: STATS_SCHEMA.to_string(),
-            mem: s.mem,
-            mem_shards: vec![s.mem],
-            policy: "lru".to_string(),
-            disk: s.disk,
-            disk_health: s.disk_health,
-        }
-    }
-}
-
 /// The tiered pool store: memory arena in front, optional disk tier
 /// behind. All cache operations take `&self` (the store is `Send +
 /// Sync`); see the crate docs for the locking discipline.
@@ -353,11 +361,9 @@ pub struct PoolStore {
     /// the slot (oversized pools included) or the promoted one from
     /// memory. N concurrent cold fetches ⇒ one decode or one populate.
     in_flight: Mutex<HashMap<PoolKey, Arc<Slot>>>,
-    /// The store's view of the instance-fingerprint chain (kept even on
-    /// memory-only stores, where there is no manifest to record it).
-    /// Lock order: this lock → disk lock → arena lock; only
-    /// [`Self::set_lineage`] ever holds it across another lock.
-    lineage: Mutex<Vec<u64>>,
+    /// The epoch state, kept even on memory-only stores. Lock order:
+    /// this lock → disk lock → arena lock.
+    epochs: Mutex<Epochs>,
     write_through: bool,
 }
 
@@ -368,7 +374,7 @@ impl PoolStore {
             arena: RwLock::new(PoolArena::new(mem_bytes)),
             disk: None,
             in_flight: Mutex::new(HashMap::new()),
-            lineage: Mutex::new(Vec::new()),
+            epochs: Mutex::new(Epochs::default()),
             write_through: false,
         }
     }
@@ -385,20 +391,34 @@ impl PoolStore {
     /// keeping the memory tier's contents. The memory budget changes
     /// only when the config names one; entries a smaller budget evicts
     /// spill to the new disk tier. Exclusive (`&mut self`): tier
-    /// topology is configuration, not serving.
-    pub fn attach_disk(&mut self, config: StoreConfig) -> StoreResult<()> {
+    /// topology is configuration, not serving. A store with a chain
+    /// stamps the directory with it and reports what that invalidated; a
+    /// store without one adopts the directory's recorded chain.
+    pub fn attach_disk(&mut self, config: StoreConfig) -> StoreResult<Invalidation> {
         let io = config.io.unwrap_or_else(RealIo::arc);
-        let disk = DiskTier::open_with(config.dir, config.disk_bytes, config.region_bytes, io)?;
-        // Adopt the directory's recorded lineage: the memory tier must
-        // agree with the manifest on which epoch serves.
-        *lock(&self.lineage) = disk.lineage().to_vec();
-        read(&self.arena).set_current_epoch(disk.current_epoch());
+        let mut disk = DiskTier::open_with(config.dir, config.disk_bytes, config.region_bytes, io)?;
+        let epochs = self
+            .epochs
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        let invalidated = match &epochs.lineage {
+            Some(lineage) => disk.set_lineage(lineage.fingerprints())?,
+            None => {
+                // Its deltas' dirty sets are unknown. The memory tier
+                // must agree with the manifest on which epoch serves.
+                epochs.lineage = Lineage::from_fingerprints(disk.lineage().to_vec());
+                epochs.dirty = vec![None; disk.current_epoch() as usize];
+                let arena = self.arena.get_mut().unwrap_or_else(PoisonError::into_inner);
+                arena.set_current_epoch(disk.current_epoch());
+                Invalidation::default()
+            }
+        };
         self.disk = Some(Mutex::new(disk));
         self.write_through = config.write_through;
         if let Some(mem_bytes) = config.mem_bytes {
             self.set_mem_capacity(mem_bytes);
         }
-        Ok(())
+        Ok(invalidated)
     }
 
     /// The disk tier, when attached (admin surface: `entries`, `verify`,
@@ -414,40 +434,89 @@ impl PoolStore {
     /// new head's epoch serve, older ones go stale (repairable through
     /// [`Self::get_any`]), entries past the common prefix are dropped —
     /// while a different root drops every sampled entry (pinned pools
-    /// stay; the caller owns them). Returns whether a purge happened on
-    /// either tier.
+    /// stay; the caller owns them). Epochs past the common prefix have
+    /// no dirty sets. Returns whether a purge happened on either tier.
     pub fn set_lineage(&self, lineage: &[u64]) -> StoreResult<bool> {
-        let mut recorded = lock(&self.lineage);
-        let prefix = disk::common_prefix(&recorded, lineage);
-        let diverged_at_root = prefix == 0 && !recorded.is_empty() && !lineage.is_empty();
-        let mut purged = false;
-        if let Some(disk) = self.disk.as_ref() {
-            purged = lock(disk).set_lineage(lineage)?;
-        }
+        let lineage = Lineage::from_fingerprints(lineage.to_vec());
+        Ok(self.rechain(&mut lock(&self.epochs), lineage)?.purged)
+    }
+
+    /// [`Self::set_lineage`] to the one-epoch chain `[root]`, reporting
+    /// what it invalidated.
+    pub fn set_root(&self, root: u64) -> StoreResult<Invalidation> {
+        self.rechain(&mut lock(&self.epochs), Some(Lineage::new(root)))
+    }
+
+    /// Advances the chain by one delta ([`Lineage::advance`]) and keeps
+    /// its dirty targets for [`Self::dirty_since`]; every cached pool
+    /// goes stale. Returns the new head and what was invalidated. Panics
+    /// if no chain is set: a delta needs a root to advance from.
+    pub fn advance(&self, digest: u64, dirty: Vec<NodeId>) -> StoreResult<(u64, Invalidation)> {
+        let mut epochs = lock(&self.epochs);
+        let mut lineage = epochs.lineage.clone().expect("a delta needs a root");
+        let head = lineage.advance(digest);
+        let invalidated = self.rechain(&mut epochs, Some(lineage))?;
+        *epochs.dirty.last_mut().expect("one set per delta") = Some(dirty);
+        Ok((head, invalidated))
+    }
+
+    /// Moves both tiers and the epoch state to `lineage` (`None`: unset).
+    fn rechain(&self, epochs: &mut Epochs, lineage: Option<Lineage>) -> StoreResult<Invalidation> {
+        let new = lineage.as_ref().map_or(&[][..], Lineage::fingerprints);
+        let old = epochs.chain();
+        let prefix = lineage.as_ref().map_or(0, |l| l.common_prefix(old));
+        let mut invalidated = match self.disk.as_ref() {
+            Some(disk) => lock(disk).set_lineage(new)?,
+            None => Invalidation::default(),
+        };
         let mut arena = write(&self.arena);
-        if diverged_at_root {
-            let resident = arena.len();
+        let (stale, resident) = (arena.stats().stale, arena.len());
+        if prefix == 0 && !old.is_empty() && !new.is_empty() {
             arena.evict_unpinned();
-            purged = purged || arena.len() < resident;
-        } else if prefix < recorded.len() {
+            invalidated.purged |= arena.len() < resident;
+        } else if prefix < old.len() {
             // Shared root, abandoned tail: resident pools sampled past
             // the divergence are unrepairable.
             arena.evict_epochs_from(prefix as u64);
         }
-        arena.set_current_epoch(lineage.len().saturating_sub(1) as u64);
-        *recorded = lineage.to_vec();
-        Ok(purged)
+        arena.set_current_epoch(new.len().saturating_sub(1) as u64);
+        invalidated.dirty += arena.stats().stale.saturating_sub(stale);
+        invalidated.dropped += resident - arena.len();
+        epochs.dirty.truncate(prefix.saturating_sub(1));
+        epochs.dirty.resize(new.len().saturating_sub(1), None);
+        epochs.lineage = lineage;
+        Ok(invalidated)
     }
 
     /// The store's recorded instance-fingerprint chain (empty while
     /// unset).
     pub fn lineage(&self) -> Vec<u64> {
-        lock(&self.lineage).clone()
+        lock(&self.epochs).chain().to_vec()
     }
 
     /// The lineage epoch pools currently serve at.
     pub fn current_epoch(&self) -> u64 {
         read(&self.arena).current_epoch()
+    }
+
+    /// The sorted, deduplicated union of the dirty sets of the deltas
+    /// from `epoch` to the head: what a pool stamped at `epoch` must
+    /// resample. `None` when `epoch` is not older than the head or a
+    /// delta in between has no dirty set (see [`Self::set_lineage`]).
+    pub fn dirty_since(&self, epoch: u64) -> Option<Vec<NodeId>> {
+        let epochs = lock(&self.epochs);
+        let tail = epochs
+            .dirty
+            .get(epoch as usize..)
+            .filter(|t| !t.is_empty())?;
+        let mut dirty = Vec::new();
+        for set in tail {
+            dirty.extend_from_slice(set.as_deref()?);
+        }
+        drop(epochs);
+        dirty.sort_unstable();
+        dirty.dedup();
+        Some(dirty)
     }
 
     /// Resolves a pool, populating it when no tier holds it. The steps:
@@ -693,7 +762,7 @@ impl PoolStore {
     }
 
     /// Both tiers' stats.
-    pub fn stats(&self) -> StoreStats {
+    pub fn stats(&self) -> StatsSnapshot {
         let (disk, disk_health) = match self.disk.as_ref() {
             Some(d) => {
                 let guard = lock(d);
@@ -701,8 +770,12 @@ impl PoolStore {
             }
             None => (None, None),
         };
-        StoreStats {
-            mem: self.arena_stats(),
+        let mem = self.arena_stats();
+        StatsSnapshot {
+            schema: STATS_SCHEMA.to_string(),
+            mem,
+            mem_shards: vec![mem],
+            policy: "lru".to_string(),
             disk,
             disk_health,
         }

@@ -3,7 +3,7 @@
 
 use oipa_sampler::testkit::fig1;
 use oipa_sampler::MrrPool;
-use oipa_store::{PoolKey, PoolStore, StatsSnapshot};
+use oipa_store::{PoolKey, PoolStore};
 use std::sync::Arc;
 
 fn pool(theta: usize, seed: u64) -> Arc<MrrPool> {
@@ -66,7 +66,7 @@ fn default_store_is_single_shard_lru() {
     assert!(store.get(&key(11)).is_some());
     assert!(store.get(&key(12)).is_some());
 
-    let snapshot = StatsSnapshot::from(store.stats());
+    let snapshot = store.stats();
     assert_eq!(snapshot.policy, "lru");
     assert_eq!(snapshot.mem.shards, 1);
     assert_eq!(snapshot.mem_shards, vec![snapshot.mem]);

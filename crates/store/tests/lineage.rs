@@ -211,3 +211,125 @@ fn evicted_stale_pool_is_never_served_as_current() {
     let (_, epoch, _) = store.get_any(&key(400, 1)).expect("still repairable");
     assert_eq!(epoch, 0);
 }
+
+/// The store owns each delta's dirty set: `dirty_since` is the sorted,
+/// deduplicated union from an epoch to the head, `None` at the head.
+#[test]
+fn dirty_since_unions_the_deltas_after_an_epoch() {
+    let store = PoolStore::memory_only(usize::MAX);
+    assert_eq!(store.set_root(ROOT).unwrap(), Default::default());
+    assert_eq!(store.dirty_since(0), None, "no delta yet");
+    let (head, _) = store.advance(0xD1, vec![7, 3]).unwrap();
+    store.advance(0xD2, vec![5, 3]).unwrap();
+    store.advance(0xD3, vec![9, 1, 7]).unwrap();
+    assert_eq!(store.current_epoch(), 3);
+    assert_eq!(store.lineage().len(), 4);
+    assert_eq!(store.lineage()[1], head);
+
+    assert_eq!(store.dirty_since(0), Some(vec![1, 3, 5, 7, 9]));
+    assert_eq!(store.dirty_since(1), Some(vec![1, 3, 5, 7, 9]));
+    assert_eq!(store.dirty_since(2), Some(vec![1, 7, 9]));
+    assert_eq!(store.dirty_since(3), None, "the head has nothing to repair");
+    assert_eq!(store.dirty_since(4), None);
+}
+
+/// An advance marks cached pools stale and says so; the new head is the
+/// old one mixed with the delta's digest.
+#[test]
+fn advance_reports_what_it_invalidated() {
+    let store = PoolStore::memory_only(usize::MAX);
+    store.set_root(ROOT).unwrap();
+    store.insert(key(300, 4), pool(300, 4));
+    let (head, invalidated) = store.advance(0xD1, vec![2]).unwrap();
+    assert_eq!(head, oipa_graph::mix_fingerprint(ROOT, 0xD1));
+    assert_eq!((invalidated.dirty, invalidated.dropped), (1, 0));
+    assert!(!invalidated.purged);
+    assert!(store.get(&key(300, 4)).is_none());
+}
+
+/// A new root starts the dirty history afresh.
+#[test]
+fn dirty_sets_reset_on_a_new_root() {
+    let store = PoolStore::memory_only(usize::MAX);
+    store.set_root(ROOT).unwrap();
+    store.advance(0xD1, vec![4]).unwrap();
+    store.insert(key(300, 4), pool(300, 4));
+    let invalidated = store.set_root(0xF00D).unwrap();
+    assert!(invalidated.purged, "a foreign root purges");
+    assert_eq!(invalidated.dropped, 1);
+    assert_eq!(store.lineage(), vec![0xF00D]);
+    assert_eq!(store.dirty_since(0), None);
+    store.advance(0xD2, vec![6]).unwrap();
+    assert_eq!(
+        store.dirty_since(0),
+        Some(vec![6]),
+        "no set from the old chain"
+    );
+}
+
+/// `set_lineage` back to a shared prefix drops the dirty sets of the
+/// abandoned tail and keeps those inside the prefix.
+#[test]
+fn dirty_sets_truncate_to_the_shared_prefix() {
+    let store = PoolStore::memory_only(usize::MAX);
+    store.set_root(ROOT).unwrap();
+    store.advance(0xD1, vec![1]).unwrap();
+    store.advance(0xD2, vec![2]).unwrap();
+    store.advance(0xD3, vec![3]).unwrap();
+    let chain = store.lineage();
+    assert!(!store.set_lineage(&chain[..2]).unwrap(), "shared root");
+    assert_eq!(store.current_epoch(), 1);
+    assert_eq!(store.dirty_since(0), Some(vec![1]));
+    store.advance(0xE2, vec![8]).unwrap();
+    assert_eq!(
+        store.dirty_since(0),
+        Some(vec![1, 8]),
+        "no set from the tail"
+    );
+    assert_eq!(store.dirty_since(1), Some(vec![8]));
+}
+
+/// Epochs announced only through `set_lineage` carry no dirty set, so
+/// nothing repairs across them; deltas advanced after them do.
+#[test]
+fn epochs_announced_by_set_lineage_have_no_dirty_set() {
+    let store = PoolStore::memory_only(usize::MAX);
+    store.set_lineage(&[ROOT]).unwrap();
+    store.set_lineage(&[ROOT, HEAD]).unwrap();
+    assert_eq!(store.current_epoch(), 1);
+    assert_eq!(
+        store.dirty_since(0),
+        None,
+        "the delta's dirty set is unknown"
+    );
+    store.advance(0xD1, vec![5]).unwrap();
+    assert_eq!(store.dirty_since(0), None);
+    assert_eq!(store.dirty_since(1), Some(vec![5]));
+
+    // A directory's recorded chain is adopted the same way.
+    let dir = tmpdir("adopted-chain");
+    let writer = PoolStore::open(StoreConfig::new(&dir)).unwrap();
+    writer.set_root(ROOT).unwrap();
+    writer.advance(0xD1, vec![5]).unwrap();
+    assert_eq!(writer.dirty_since(0), Some(vec![5]));
+    drop(writer);
+    let reopened = PoolStore::open(StoreConfig::new(&dir)).unwrap();
+    assert_eq!(reopened.current_epoch(), 1);
+    assert_eq!(reopened.dirty_since(0), None);
+}
+
+/// A store with a chain keeps it when a disk tier is attached: the
+/// directory is stamped with the store's chain, dirty sets and all.
+#[test]
+fn attaching_a_directory_keeps_the_store_chain() {
+    let dir = tmpdir("attach-keeps-chain");
+    let mut store = PoolStore::memory_only(usize::MAX);
+    store.set_root(ROOT).unwrap();
+    store.advance(0xD1, vec![2]).unwrap();
+    let chain = store.lineage();
+    let invalidated = store.attach_disk(StoreConfig::new(&dir)).unwrap();
+    assert_eq!(invalidated, Default::default(), "a fresh directory");
+    assert_eq!(store.lineage(), chain);
+    assert_eq!(store.dirty_since(0), Some(vec![2]));
+    assert_eq!(store.disk().unwrap().lineage(), &chain[..]);
+}

@@ -768,7 +768,7 @@ fn stats_snapshot_round_trips_through_json() {
     assert!(store.get(&key(410, 31)).is_some()); // a hit
     assert!(store.get(&key(411, 32)).is_none()); // a miss on both tiers
 
-    let snapshot = StatsSnapshot::from(store.stats());
+    let snapshot = store.stats();
     assert!(snapshot.schema_ok());
     assert_eq!(snapshot.schema, STATS_SCHEMA);
     assert_eq!(
@@ -783,7 +783,7 @@ fn stats_snapshot_round_trips_through_json() {
     assert_eq!(back, snapshot, "snapshot must survive the wire bitwise");
 
     // A memory-only snapshot round-trips its absent disk half too.
-    let mem_only = StatsSnapshot::from(PoolStore::memory_only(1 << 20).stats());
+    let mem_only = PoolStore::memory_only(1 << 20).stats();
     assert!(mem_only.disk.is_none());
     let back: StatsSnapshot =
         serde_json::from_str(&serde_json::to_string(&mem_only).unwrap()).unwrap();
