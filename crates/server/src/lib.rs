@@ -326,6 +326,23 @@ fn register_store_collector(registry: &Registry, service: SharedService) {
     use MetricKind::{Counter, Gauge};
     registry.register_collector(move |w| {
         let snap = read_service(&service).stats_snapshot();
+        let chain = read_service(&service)
+            .lineage()
+            .map_or(0, |l| l.fingerprints().len());
+        bridge(
+            w,
+            "oipa_store_epoch",
+            Gauge,
+            "Epoch of the lineage head pools serve at: deltas applied since the cold load.",
+            chain.saturating_sub(1) as u64,
+        );
+        bridge(
+            w,
+            "oipa_store_lineage_length",
+            Gauge,
+            "Fingerprints on the store's epoch chain (0 on pool-only sessions).",
+            chain as u64,
+        );
         let mem = &snap.mem;
         bridge(
             w,

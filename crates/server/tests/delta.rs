@@ -32,6 +32,23 @@ fn fig1_delta() -> GraphDelta {
     }
 }
 
+/// The store's epoch-chain gauges, `(oipa_store_epoch,
+/// oipa_store_lineage_length)`, from one `/metrics` scrape.
+fn chain_gauges(addr: std::net::SocketAddr) -> (f64, f64) {
+    let resp = request(addr, "GET", "/metrics", None);
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let gauge = |name: &str| {
+        resp.body_str()
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+    };
+    (
+        gauge("oipa_store_epoch"),
+        gauge("oipa_store_lineage_length"),
+    )
+}
+
 #[test]
 fn delta_over_wire_repairs_the_cached_pool() {
     let (handle, service) = spawn(ServerConfig::default());
@@ -41,10 +58,16 @@ fn delta_over_wire_repairs_the_cached_pool() {
     let cold = solve_over_wire(addr, &req);
     assert!(!cold.pool_cache_hit && cold.pool_repair.is_none());
 
+    assert_eq!(chain_gauges(addr), (0.0, 1.0));
     let delta = fig1_delta();
     let body = serde_json::to_string(&delta).unwrap();
     let resp = request(addr, "POST", "/delta", Some(&body));
     assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(
+        chain_gauges(addr),
+        (1.0, 2.0),
+        "/metrics shows the new epoch"
+    );
     let report: DeltaReport = serde_json::from_str(resp.body_str()).unwrap();
     assert_eq!(report.epoch, 1);
     assert_eq!(report.ops, 2);
