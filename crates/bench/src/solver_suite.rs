@@ -76,7 +76,7 @@ pub struct SolverBenchRecord {
     pub trail_pops: u64,
     /// Estimated utility (user units).
     pub utility: f64,
-    /// Certified upper bound (user units).
+    /// Upper-bound estimate, the paper's greedy-τ bound (user units).
     pub upper_bound: f64,
     /// Whether this run's plan is identical to the reference engine's
     /// plan on the same (instance, method, refinement). Always true by

@@ -723,7 +723,7 @@ impl<'a> BranchAndBound<'a> {
         }
         if heap.is_empty() {
             // Search exhausted: the incumbent is optimal w.r.t. the pruning
-            // bound, so the certified upper bound collapses onto it.
+            // bound, so the upper-bound estimate collapses onto it.
             global_upper = lower;
         }
 

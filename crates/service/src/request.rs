@@ -272,7 +272,9 @@ pub struct SolveResponse {
     pub pool_tier: Option<String>,
     /// MRR-estimated adoption utility of the plan, in users.
     pub utility: f64,
-    /// Certified upper bound (branch-and-bound methods only).
+    /// Upper-bound estimate (branch-and-bound methods only): the paper's
+    /// greedy-τ bound over the sampled pool, not a certificate — a fresh
+    /// σ estimate of the plan can exceed it.
     pub upper_bound: Option<f64>,
     /// The assignment plan.
     pub plan: AssignmentPlan,

@@ -56,7 +56,7 @@ fn main() {
         solution.utility
     );
     println!(
-        "certified upper bound:      {:.3}  (gap {:.2}%)",
+        "upper-bound estimate:       {:.3}  (gap {:.2}%)",
         solution.upper_bound,
         100.0 * (solution.upper_bound - solution.utility) / solution.utility
     );
