@@ -143,7 +143,7 @@ use oipa_sampler::MrrPool;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Default memory-tier byte budget (≈256 MiB).
@@ -397,18 +397,16 @@ impl PoolStore {
     pub fn attach_disk(&mut self, config: StoreConfig) -> StoreResult<Invalidation> {
         let io = config.io.unwrap_or_else(RealIo::arc);
         let mut disk = DiskTier::open_with(config.dir, config.disk_bytes, config.region_bytes, io)?;
-        let epochs = self
-            .epochs
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
+        let epochs = self.epochs.get_mut().unwrap_or_else(|e| e.into_inner());
         let invalidated = match &epochs.lineage {
             Some(lineage) => disk.set_lineage(lineage.fingerprints())?,
             None => {
-                // Its deltas' dirty sets are unknown. The memory tier
-                // must agree with the manifest on which epoch serves.
+                // Adopt the directory's chain (its deltas' dirty sets are
+                // unknown): memory must agree with the manifest on which
+                // epoch serves.
                 epochs.lineage = Lineage::from_fingerprints(disk.lineage().to_vec());
                 epochs.dirty = vec![None; disk.current_epoch() as usize];
-                let arena = self.arena.get_mut().unwrap_or_else(PoisonError::into_inner);
+                let arena = self.arena.get_mut().unwrap_or_else(|e| e.into_inner());
                 arena.set_current_epoch(disk.current_epoch());
                 Invalidation::default()
             }
