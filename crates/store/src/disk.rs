@@ -731,15 +731,16 @@ impl DiskTier {
                     // Nothing committed: no pool bytes to preserve.
                     let _ = self.io.remove(&path);
                 }
-                let (bytes, evictions) = (&mut self.indexed_bytes, &mut self.evictions);
-                self.manifest.entries.retain(|entry| {
-                    if entry.file != row.file {
-                        return true;
+                let mut kept = Vec::with_capacity(self.manifest.entries.len());
+                for entry in std::mem::take(&mut self.manifest.entries) {
+                    if entry.file == row.file {
+                        self.indexed_bytes -= entry.bytes;
+                        self.evictions += 1;
+                    } else {
+                        kept.push(entry);
                     }
-                    *bytes -= entry.bytes;
-                    *evictions += 1;
-                    false
-                });
+                }
+                self.manifest.entries = kept;
             }
             // Entries without a region row cannot exist, but never let
             // the invariant depend on it: drop any stragglers.
@@ -761,19 +762,21 @@ impl DiskTier {
             // Shared root: entries past the common prefix were sampled
             // on an abandoned branch — unrepairable, dropped in place
             // (their bytes go dead inside their regions until `gc`).
+            let cutoff = prefix as u64;
+            let mut kept = Vec::with_capacity(self.manifest.entries.len());
             let mut dropped_files: Vec<String> = Vec::new();
-            let (bytes, dropped) = (&mut self.indexed_bytes, &mut self.stale_dropped);
-            self.manifest.entries.retain(|entry| {
-                if entry.epoch < prefix as u64 {
-                    return true;
+            for entry in std::mem::take(&mut self.manifest.entries) {
+                if entry.epoch < cutoff {
+                    kept.push(entry);
+                } else {
+                    self.indexed_bytes -= entry.bytes;
+                    self.stale_dropped += 1;
+                    if !dropped_files.contains(&entry.file) {
+                        dropped_files.push(entry.file.clone());
+                    }
                 }
-                *bytes -= entry.bytes;
-                *dropped += 1;
-                if !dropped_files.contains(&entry.file) {
-                    dropped_files.push(entry.file.clone());
-                }
-                false
-            });
+            }
+            self.manifest.entries = kept;
             for file in dropped_files {
                 self.drop_region_if_empty(&file);
             }
