@@ -9,8 +9,9 @@
 //! * `--check` — validate the report invariants and the written JSON; on
 //!   a full run, also require `tau_evaluations`, `nodes_expanded`,
 //!   `bounds_computed`, and bit for bit `utility` and `upper_bound`, to
-//!   equal the checked-in `BENCH_solver.json` row by row. Exits non-zero
-//!   on any violation.
+//!   equal the checked-in `BENCH_solver.json` row by row, and every
+//!   pool's fingerprint, posting count and single-edge repair to equal
+//!   it pool by pool. Exits non-zero on any violation.
 //! * `--out`   — output path (default `BENCH_solver.json` in the working
 //!   directory; with `--check`, `BENCH_solver.json` beside the executable,
 //!   so a check from the repository root leaves the checked-in file as it
@@ -68,11 +69,11 @@ fn main() {
         if let Some(baseline) = baseline {
             if let Err(e) = compare_exact(&baseline, &report) {
                 die(&format!(
-                    "counts or answers differ from the checked-in BENCH_solver.json: {e}"
+                    "counts, answers or pools differ from the checked-in BENCH_solver.json: {e}"
                 ));
             }
             println!(
-                "check passed: invariants hold, counts and answers equal the checked-in baseline"
+                "check passed: invariants hold, counts, answers and pools equal the checked-in baseline"
             );
         } else {
             println!("check passed: invariants hold");

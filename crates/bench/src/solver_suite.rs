@@ -10,6 +10,12 @@
 //! upper bound, bit for bit) exactly against the checked-in file
 //! ([`compare_exact`]).
 //!
+//! The `pools` section pins what the sampler builds on the same seeds:
+//! each instance's pool fingerprint and posting count, and for one
+//! seeded single-edge reweight the dirty targets, the sets resampled and
+//! the repaired pool's fingerprint, all gated exactly; the best-of-3
+//! `generate_ms` and `repair_ms` are recorded, never gated.
+//!
 //! Every incremental run is paired with its reference run on the same
 //! instance and records whether the plans matched — the suite doubles as
 //! an end-to-end golden check of the engine-equivalence guarantee. The
@@ -18,15 +24,17 @@
 //! looser and the search does more work for the same instance.
 
 use oipa_core::{BabConfig, BoundMethod, BranchAndBound, OipaInstance, Solution, SolverEngine};
+use oipa_graph::{DiGraph, EdgeChange, GraphDelta, NodeId, TopicProb};
 use oipa_sampler::testkit::small_random_instance;
 use oipa_sampler::MrrPool;
-use oipa_topics::LogisticAdoption;
+use oipa_topics::{Campaign, EdgeTopicProbs, LogisticAdoption};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Schema identifier stamped into every report.
-pub const SOLVER_SCHEMA: &str = "oipa.bench.solver/v2";
+pub const SOLVER_SCHEMA: &str = "oipa.bench.solver/v3";
 
 /// Suite configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,7 +95,7 @@ pub struct SolverBenchRecord {
 /// The full suite report (the `BENCH_solver.json` payload).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SolverSuiteReport {
-    /// Schema identifier (`oipa.bench.solver/v2`).
+    /// Schema identifier (`oipa.bench.solver/v3`).
     pub schema: String,
     /// Whether this was a smoke run.
     pub smoke: bool,
@@ -97,6 +105,41 @@ pub struct SolverSuiteReport {
     pub available_parallelism: usize,
     /// All measurements.
     pub records: Vec<SolverBenchRecord>,
+    /// The pools the solver rows ran on, plus the `wirebench`-shaped
+    /// pool (full runs only).
+    pub pools: Vec<PoolBenchRecord>,
+}
+
+/// One pool as the sampler builds it, and one seeded single-edge repair
+/// of it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PoolBenchRecord {
+    /// Instance label.
+    pub instance: String,
+    /// Graph nodes.
+    pub nodes: usize,
+    /// Graph edges.
+    pub edges: usize,
+    /// Campaign pieces ℓ.
+    pub ell: usize,
+    /// MRR samples θ.
+    pub theta: usize,
+    /// The seed the pool was sampled with.
+    pub pool_seed: u64,
+    /// [`MrrPool::fingerprint`], as 16 hex digits.
+    pub fingerprint: String,
+    /// [`MrrPool::total_nodes`]: postings over every piece.
+    pub total_nodes: usize,
+    /// Dirty targets of the seeded single-edge reweight.
+    pub dirty_targets: Vec<NodeId>,
+    /// Sets the repair resampled.
+    pub sets_resampled: usize,
+    /// The repaired pool's fingerprint, as 16 hex digits.
+    pub repaired_fingerprint: String,
+    /// Best-of-3 wall-clock of `MrrPool::generate`, in milliseconds.
+    pub generate_ms: f64,
+    /// Best-of-3 wall-clock of `MrrPool::repaired`, in milliseconds.
+    pub repair_ms: f64,
 }
 
 struct InstanceSpec {
@@ -238,23 +281,101 @@ fn timed_solve(instance: &OipaInstance<'_>, config: BabConfig) -> (Solution, f64
     (last.expect("at least one repeat"), best_ms)
 }
 
+/// The `wirebench` base instance the pinned index digest also hashes:
+/// its graph seed, nodes, edges, topics, ℓ, θ and pool seed.
+const WIREBENCH_POOL: (u64, u32, usize, usize, usize, usize, u64) =
+    (0x5e12e, 300, 2_400, 4, 3, 20_000, 7);
+
+/// Best-of-`TIMING_REPEATS` wall-clock of `f` in milliseconds, with the
+/// (repeat-invariant) last result.
+fn best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut best_ms = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..TIMING_REPEATS {
+        let start = Instant::now();
+        let out = f();
+        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        last = Some(out);
+    }
+    (last.expect("at least one repeat"), best_ms)
+}
+
+/// Samples the pool of one instance, then repairs it after reweighting
+/// one edge picked by `pool_seed` to a fresh single-topic row.
+fn pool_record(
+    label: &str,
+    (graph, table, campaign): &(DiGraph, EdgeTopicProbs, Campaign),
+    theta: usize,
+    pool_seed: u64,
+) -> (MrrPool, PoolBenchRecord) {
+    let (pool, generate_ms) =
+        best_of(|| MrrPool::generate(graph, table, campaign, theta, pool_seed));
+    let mut rng = StdRng::seed_from_u64(pool_seed ^ 0xde17a);
+    let edge = graph
+        .edges()
+        .nth(rng.gen_range(0..graph.edge_count()))
+        .expect("the instance has edges");
+    let delta = GraphDelta {
+        reweight: vec![EdgeChange {
+            source: edge.source,
+            target: edge.target,
+            probs: vec![TopicProb {
+                topic: rng.gen_range(0..table.topic_count()) as u16,
+                prob: rng.gen_range(0.05..0.8f32),
+            }],
+        }],
+        ..GraphDelta::default()
+    };
+    let app = graph
+        .apply_delta(&delta)
+        .expect("a reweight of an existing edge");
+    let new_table = table.apply_delta(&delta, &app).expect("a valid row");
+    let ((repaired, outcome), repair_ms) = best_of(|| {
+        pool.repaired(
+            &app.graph,
+            &new_table,
+            campaign,
+            &app.dirty_targets,
+            pool_seed,
+        )
+        .expect("repair inputs match the pool")
+    });
+    let record = PoolBenchRecord {
+        instance: label.to_string(),
+        nodes: graph.node_count(),
+        edges: graph.edge_count(),
+        ell: campaign.len(),
+        theta,
+        pool_seed,
+        fingerprint: format!("{:016x}", pool.fingerprint()),
+        total_nodes: pool.total_nodes(),
+        dirty_targets: app.dirty_targets.clone(),
+        sets_resampled: outcome.sets_resampled,
+        repaired_fingerprint: format!("{:016x}", repaired.fingerprint()),
+        generate_ms,
+        repair_ms,
+    };
+    (pool, record)
+}
+
 /// Runs the suite: for each seeded instance, BAB (CELF) and BAB-P under
 /// both engines, BAB (CELF) without anchor refinement under both
 /// engines, plus the plain-greedy rescan baseline (reference engine only
 /// — it is the §V-C cost yardstick).
 pub fn run_solver_suite(config: SolverSuiteConfig) -> SolverSuiteReport {
     let mut records = Vec::new();
+    let mut pools = Vec::new();
     for spec in instances(config.smoke) {
         let mut rng = StdRng::seed_from_u64(spec.seed ^ config.seed);
-        let (g, table, campaign) =
+        let inputs =
             small_random_instance(&mut rng, spec.nodes, spec.edges, spec.ell + 1, spec.ell);
-        let pool = MrrPool::generate(
-            &g,
-            &table,
-            &campaign,
+        let (pool, pool_row) = pool_record(
+            spec.label,
+            &inputs,
             spec.theta,
             spec.seed ^ config.seed ^ 0xbeef,
         );
+        pools.push(pool_row);
         let model = LogisticAdoption::new(spec.alpha, 1.0);
         let promoters: Vec<u32> = (0..spec.nodes).step_by(3).collect();
         let instance = OipaInstance::new(&pool, model, promoters, spec.k).unwrap();
@@ -291,12 +412,19 @@ pub fn run_solver_suite(config: SolverSuiteConfig) -> SolverSuiteReport {
             }
         }
     }
+    if !config.smoke {
+        let (graph_seed, nodes, edges, topics, ell, theta, pool_seed) = WIREBENCH_POOL;
+        let mut rng = StdRng::seed_from_u64(graph_seed);
+        let inputs = small_random_instance(&mut rng, nodes, edges, topics, ell);
+        pools.push(pool_record("wirebench-300", &inputs, theta, pool_seed).1);
+    }
     SolverSuiteReport {
         schema: SOLVER_SCHEMA.to_string(),
         smoke: config.smoke,
         seed: config.seed,
         available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         records,
+        pools,
     }
 }
 
@@ -370,11 +498,14 @@ fn row_label(r: &SolverBenchRecord) -> String {
 
 /// The exact gate: `actual` must carry the same rows as `expected`, in
 /// the same order, with equal `tau_evaluations`, `nodes_expanded` and
-/// `bounds_computed`, and bitwise-equal `utility` and `upper_bound`.
+/// `bounds_computed`, and bitwise-equal `utility` and `upper_bound`; and
+/// the same pools, in the same order, with equal fingerprints, posting
+/// counts, dirty targets, sets resampled and repaired fingerprints.
 /// These are deterministic for a given seed, so any difference is a
-/// change in search behaviour or in the answer, never noise (the report
-/// writes each float in its shortest round-trip form, so it reads back
-/// bit for bit). Wall-clock and the remaining fields are not compared.
+/// change in search behaviour, in the answer or in a pool, never noise
+/// (the report writes each float in its shortest round-trip form, so it
+/// reads back bit for bit). Wall-clock and the remaining fields are not
+/// compared.
 pub fn compare_exact(
     expected: &SolverSuiteReport,
     actual: &SolverSuiteReport,
@@ -435,6 +566,50 @@ pub fn compare_exact(
             }
         }
     }
+    if expected.pools.len() != actual.pools.len() {
+        return Err(format!(
+            "{} pools vs {} in the baseline",
+            actual.pools.len(),
+            expected.pools.len()
+        ));
+    }
+    for (e, a) in expected.pools.iter().zip(&actual.pools) {
+        let label = format!("pool {}", a.instance);
+        if a.instance != e.instance {
+            return Err(format!(
+                "{label} where the baseline has pool {}",
+                e.instance
+            ));
+        }
+        let fields = [
+            ("fingerprint", &e.fingerprint, &a.fingerprint),
+            (
+                "repaired_fingerprint",
+                &e.repaired_fingerprint,
+                &a.repaired_fingerprint,
+            ),
+            (
+                "total_nodes",
+                &e.total_nodes.to_string(),
+                &a.total_nodes.to_string(),
+            ),
+            (
+                "dirty_targets",
+                &format!("{:?}", e.dirty_targets),
+                &format!("{:?}", a.dirty_targets),
+            ),
+            (
+                "sets_resampled",
+                &e.sets_resampled.to_string(),
+                &a.sets_resampled.to_string(),
+            ),
+        ];
+        for (field, want, got) in fields {
+            if want != got {
+                diffs.push(format!("{label}: {field} {got} (baseline {want})"));
+            }
+        }
+    }
     if diffs.is_empty() {
         Ok(())
     } else {
@@ -458,6 +633,18 @@ pub fn summary_text(report: &SolverSuiteReport) -> String {
             r.nodes_expanded,
             r.bounds_computed,
             r.wall_ms
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\n{:<16} {:>16} {:>11} {:>9} {:>11} {:>9}",
+        "pool", "fingerprint", "postings", "resampled", "generate_ms", "repair_ms"
+    );
+    for p in &report.pools {
+        let _ = writeln!(
+            out,
+            "{:<16} {:>16} {:>11} {:>9} {:>11.2} {:>9.2}",
+            p.instance, p.fingerprint, p.total_nodes, p.sets_resampled, p.generate_ms, p.repair_ms
         );
     }
     out
@@ -532,9 +719,28 @@ mod tests {
             assert!(err.contains(&row_label(&report.records[row])), "{err}");
         }
 
+        // One bit of either fingerprint, or one more set resampled, fails
+        // the gate.
+        let flip = |hex: &str| format!("{:016x}", u64::from_str_radix(hex, 16).unwrap() ^ 1);
+        for field in ["fingerprint", "repaired_fingerprint", "sets_resampled"] {
+            let mut perturbed = report.clone();
+            let p = &mut perturbed.pools[0];
+            match field {
+                "fingerprint" => p.fingerprint = flip(&p.fingerprint),
+                "repaired_fingerprint" => p.repaired_fingerprint = flip(&p.repaired_fingerprint),
+                _ => p.sets_resampled += 1,
+            }
+            let err = compare_exact(&report, &perturbed).unwrap_err();
+            assert!(err.contains(&format!("{field} ")), "{err}");
+            assert!(err.contains("pool smoke-40"), "{err}");
+        }
+
         let mut missing = report.clone();
         missing.records.pop();
         assert!(compare_exact(&report, &missing).is_err());
+        let mut no_pool = report.clone();
+        no_pool.pools.clear();
+        assert!(compare_exact(&report, &no_pool).is_err());
         let mut reordered = report.clone();
         reordered.records.swap(1, 2);
         assert!(compare_exact(&report, &reordered).is_err());
