@@ -18,7 +18,7 @@
 //!   stand in for the paper's proprietary `lastfm`/`dblp`/`tweet` datasets.
 //! * [`stats`] — degree statistics and a power-law exponent estimator
 //!   (the paper's §V-C complexity argument rests on the power-law principle).
-//! * [`traverse`] — BFS scratch space and reachability.
+//! * [`traverse`] — reachability (forward and backward closure).
 //! * [`hashing`] — a small FxHash-style hasher for integer-keyed maps, so we
 //!   do not pull in an external hashing crate.
 //! * [`checksum`] — streaming CRC-32 shared by every checksummed binary

@@ -1,59 +1,7 @@
-//! Traversals: BFS scratch space and forward/backward closure.
-//!
-//! [`BfsScratch`] is the visited set of every RR-set walk in the sampler;
-//! the closure functions are the reachability oracle its tests check RR
-//! sets against.
+//! Traversals: forward/backward closure, the reachability oracle the
+//! sampler's tests check RR sets against.
 
 use crate::csr::{DiGraph, NodeId};
-
-/// Reusable BFS scratch space with O(1) reset via visit stamps.
-///
-/// RR-set sampling performs millions of tiny BFS runs; clearing a `visited`
-/// bitmap each time would dominate. Instead each run bumps a stamp and
-/// marks nodes with it, so reset is a single increment.
-#[derive(Debug, Clone)]
-pub struct BfsScratch {
-    stamp: u32,
-    marks: Vec<u32>,
-}
-
-impl BfsScratch {
-    /// Creates scratch space for a graph of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        BfsScratch {
-            stamp: 0,
-            marks: vec![0; n],
-        }
-    }
-
-    /// Begins a new traversal epoch; all nodes become unvisited.
-    #[inline]
-    pub fn begin(&mut self) {
-        self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
-            // Stamp overflow after 2^32 epochs: do a full reset once.
-            self.marks.iter_mut().for_each(|m| *m = 0);
-            1
-        });
-    }
-
-    /// Marks `v` visited in the current epoch; returns `true` if newly marked.
-    #[inline]
-    pub fn mark(&mut self, v: NodeId) -> bool {
-        let slot = &mut self.marks[v as usize];
-        if *slot == self.stamp {
-            false
-        } else {
-            *slot = self.stamp;
-            true
-        }
-    }
-
-    /// Whether `v` has been visited in the current epoch.
-    #[inline]
-    pub fn is_marked(&self, v: NodeId) -> bool {
-        self.marks[v as usize] == self.stamp
-    }
-}
 
 /// Nodes reachable from `source` following out-edges (including `source`).
 pub fn forward_reachable(graph: &DiGraph, source: NodeId) -> Vec<NodeId> {
@@ -114,19 +62,6 @@ mod tests {
         let g = chain();
         assert_eq!(backward_reachable(&g, 2), vec![2, 1, 0]);
         assert_eq!(backward_reachable(&g, 0), vec![0]);
-    }
-
-    #[test]
-    fn scratch_stamps() {
-        let mut s = BfsScratch::new(3);
-        s.begin();
-        assert!(s.mark(0));
-        assert!(!s.mark(0));
-        assert!(s.is_marked(0));
-        assert!(!s.is_marked(1));
-        s.begin();
-        assert!(!s.is_marked(0));
-        assert!(s.mark(0));
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub mod testkit;
 
 pub use edge_prob::{EdgeProb, MaterializedProbs, PieceProbs};
 pub use mrr::{MrrPool, PoolBuildError, RepairOutcome, MAX_PIECES};
-pub use rr::{sample_rr_set, LiveInEdges, RrPool, RrStore};
+pub use rr::{sample_rr_set, LiveInEdges, RrPool, RrStore, WalkScratch};

@@ -6,8 +6,7 @@
 //! Eqn. (6) an unbiased estimator of the adoption utility (Lemma 2).
 
 use crate::edge_prob::PieceProbs;
-use crate::rr::{sample_rr_set, LiveInEdges, RrStore, SetRun};
-use oipa_graph::traverse::BfsScratch;
+use crate::rr::{sample_rr_set, LiveInEdges, RrStore, SetRun, WalkScratch};
 use oipa_graph::{DiGraph, NodeId};
 use oipa_topics::{Campaign, EdgeTopicProbs};
 use rand::distributions::{Distribution, Uniform};
@@ -38,6 +37,10 @@ pub struct MrrPool {
 /// Fixed chunk size; must match across sequential/parallel generation so
 /// results are reproducible regardless of thread count.
 const CHUNK: usize = 2048;
+
+/// Dead walks per repair job. Per-walk streams make the result
+/// independent of it.
+const REPAIR_CHUNK: usize = 256;
 
 /// The most pieces a pool may hold. Solvers count how many pieces reach
 /// each sample in a `u8`, so pools are built ([`MrrPool::try_generate`])
@@ -113,7 +116,9 @@ impl MrrPool {
     /// count**: each (piece, walk) pair derives an independent RNG stream
     /// from the base seed (see `walk_rng`), work is chunked only for
     /// parallel scheduling, and each piece's index numbers the sets of
-    /// its chunks in chunk order.
+    /// its chunks in chunk order. The walks of every (piece, chunk) job
+    /// run in parallel; then the ℓ indexes are built as one parallel step
+    /// over the pieces.
     /// Per-walk streams also make pools surgically repairable after a
     /// graph delta — see [`MrrPool::repair`].
     pub fn try_generate(
@@ -161,33 +166,21 @@ impl MrrPool {
             .iter()
             .map(|probs| LiveInEdges::for_walks(graph, probs, theta))
             .collect();
-        // Job = (piece j, chunk ci), j-major so each piece's chunks land
-        // contiguously in the collected output.
+        // Job = (piece j, the walks of chunk ci).
         let ell = campaign.len();
         let chunk_count = roots.len().div_ceil(CHUNK).max(1);
-        let jobs: Vec<(usize, usize)> = (0..ell)
-            .flat_map(|j| (0..chunk_count).map(move |ci| (j, ci)))
+        let jobs: Vec<(usize, std::ops::Range<usize>)> = (0..ell)
+            .flat_map(|j| {
+                (0..chunk_count).map(move |ci| (j, ci * CHUNK..((ci + 1) * CHUNK).min(theta)))
+            })
             .collect();
-        let mut runs = jobs
+        let runs: Vec<SetRun> = jobs
             .par_iter()
-            .map(|&(j, ci)| {
-                let lo = ci * CHUNK;
-                let hi = (lo + CHUNK).min(roots.len());
-                generate_chunk(graph, &lives[j], &roots[lo..hi], seed, j, ci)
-            })
-            .collect::<Vec<SetRun>>()
-            .into_iter();
-
-        // Each piece's index is built from its chunks, which are dropped
-        // as soon as it is.
-        let stores: Vec<RrStore> = (0..ell)
-            .map(|_| {
-                RrStore::from_runs(
-                    runs.by_ref().take(chunk_count).collect(),
-                    graph.node_count(),
-                )
-            })
+            .map(|(j, walks)| walk_run(&lives[*j], &roots, seed, *j, walks.clone()))
             .collect();
+        let stores = index_pieces(ell, jobs.iter().map(|(j, _)| *j), runs, |_, runs| {
+            RrStore::from_runs(runs, graph.node_count())
+        });
         Ok(MrrPool {
             n: graph.node_count() as u32,
             roots,
@@ -351,13 +344,17 @@ impl MrrPool {
     }
 
     /// Builds the post-delta pool from this (stale) one: resamples *only*
-    /// the dead walks (per piece) against the post-delta inputs and
-    /// splices their new sets into copies of the per-piece indexes: each
-    /// node's postings lose the dead ids and gain those of the new sets
-    /// that hold it. Borrowing `self` means a caller holding the stale
-    /// pool behind an `Arc` pays no intermediate full-pool clone — clean
-    /// pieces are copied once, dirty pieces are written once, straight
-    /// into their repaired form.
+    /// the dead walks against the post-delta inputs and splices their new
+    /// sets into copies of the per-piece indexes: each node's postings
+    /// lose the dead ids and gain those of the new sets that hold it.
+    ///
+    /// It runs the two steps of [`MrrPool::try_generate`]: the dead walks
+    /// of all pieces, as one parallel list of (piece, chunk) jobs that
+    /// each write one run of sets, then one parallel step over the pieces
+    /// that splices each piece's runs into its index. Borrowing `self`
+    /// means a caller holding the stale pool behind an `Arc` pays no
+    /// intermediate full-pool clone — clean pieces are copied once, dirty
+    /// pieces are written once, straight into their repaired form.
     ///
     /// `seed` must be the seed the pool was originally generated with and
     /// `dirty_targets` the union of
@@ -405,48 +402,41 @@ impl MrrPool {
                 table.topic_count()
             )));
         }
-        let mut outcome = RepairOutcome {
-            sets_total: self.theta() * self.ell(),
-            sets_resampled: 0,
+        let ell = self.ell();
+        let dead: Vec<Vec<u32>> = (0..ell)
+            .map(|j| self.dead_walks(j, dirty_targets))
+            .collect();
+        let probs: Vec<PieceProbs<'_>> = campaign
+            .pieces()
+            .iter()
+            .map(|piece| PieceProbs::new(table, &piece.topics))
+            .collect();
+        // A clean piece's list is never read: with no walks it is the
+        // row-by-row form, which costs nothing to make.
+        let lives: Vec<LiveInEdges<'_>> = probs
+            .iter()
+            .zip(&dead)
+            .map(|(probs, dead)| LiveInEdges::for_walks(graph, probs, dead.len()))
+            .collect();
+        let jobs: Vec<(usize, &[u32])> = dead
+            .iter()
+            .enumerate()
+            .flat_map(|(j, dead)| dead.chunks(REPAIR_CHUNK).map(move |walks| (j, walks)))
+            .collect();
+        let runs: Vec<SetRun> = jobs
+            .par_iter()
+            .map(|&(j, walks)| {
+                let walks = walks.iter().map(|&i| i as usize);
+                walk_run(&lives[j], &self.roots, seed, j, walks)
+            })
+            .collect();
+        let stores = index_pieces(ell, jobs.iter().map(|&(j, _)| j), runs, |j, runs| {
+            self.stores[j].spliced(&dead[j], runs)
+        });
+        let outcome = RepairOutcome {
+            sets_total: self.theta() * ell,
+            sets_resampled: dead.iter().map(Vec::len).sum(),
         };
-        let mut stores = Vec::with_capacity(self.ell());
-        for j in 0..self.ell() {
-            let dead = self.dead_walks(j, dirty_targets);
-            if dead.is_empty() {
-                stores.push(self.stores[j].clone());
-                continue;
-            }
-            outcome.sets_resampled += dead.len();
-            let probs = PieceProbs::new(table, &campaign.piece(j).topics);
-            let live = LiveInEdges::for_walks(graph, &probs, dead.len());
-            // Chunked so each rayon task reuses one BFS scratch; per-walk
-            // streams make the result independent of the chunking.
-            let jobs: Vec<&[u32]> = dead.chunks(256).collect();
-            let replacements: Vec<(u32, Vec<NodeId>)> = jobs
-                .par_iter()
-                .map(|chunk| {
-                    let mut scratch = BfsScratch::new(graph.node_count());
-                    let mut set_buf: Vec<NodeId> = Vec::new();
-                    let mut out = Vec::with_capacity(chunk.len());
-                    for &i in *chunk {
-                        let mut rng = walk_rng(seed, j, i as usize);
-                        sample_rr_set(
-                            &mut rng,
-                            &live,
-                            self.roots[i as usize],
-                            &mut scratch,
-                            &mut set_buf,
-                        );
-                        out.push((i, set_buf.clone()));
-                    }
-                    out
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect();
-            stores.push(self.stores[j].spliced(&replacements));
-        }
         Ok((
             MrrPool {
                 n: self.n,
@@ -491,24 +481,43 @@ fn walk_rng(seed: u64, piece: usize, walk: usize) -> SmallRng {
     )
 }
 
-fn generate_chunk(
-    graph: &DiGraph,
+/// Walks `walks` of `piece`, each from its own stream and its root in
+/// `roots`, over one scratch, and returns their sets as one run.
+fn walk_run(
     live: &LiveInEdges<'_>,
     roots: &[NodeId],
     seed: u64,
     piece: usize,
-    chunk_index: usize,
+    walks: impl ExactSizeIterator<Item = usize>,
 ) -> SetRun {
-    let base = chunk_index * CHUNK;
-    let mut scratch = BfsScratch::new(graph.node_count());
-    let mut set_buf: Vec<NodeId> = Vec::new();
-    let mut run = SetRun::with_capacity(roots.len());
-    for (k, &root) in roots.iter().enumerate() {
-        let mut rng = walk_rng(seed, piece, base + k);
-        sample_rr_set(&mut rng, live, root, &mut scratch, &mut set_buf);
-        run.push(&set_buf);
+    let mut scratch = WalkScratch::new(live.node_count());
+    let mut run = SetRun::with_capacity(walks.len());
+    for i in walks {
+        let mut rng = walk_rng(seed, piece, i);
+        run.push(sample_rr_set(&mut rng, live, roots[i], &mut scratch));
     }
     run
+}
+
+/// The index step of generation and repair: `runs` are in job order and
+/// `pieces` names each run's piece, so every piece gets its own runs in
+/// order. `index` builds a piece's store from them, the pieces in
+/// parallel; it consumes the runs, so a piece's runs are dropped as soon
+/// as its index is built.
+fn index_pieces(
+    ell: usize,
+    pieces: impl Iterator<Item = usize>,
+    runs: Vec<SetRun>,
+    index: impl Fn(usize, Vec<SetRun>) -> RrStore + Sync,
+) -> Vec<RrStore> {
+    let mut by_piece: Vec<(usize, Vec<SetRun>)> = (0..ell).map(|j| (j, Vec::new())).collect();
+    for (j, run) in pieces.zip(runs) {
+        by_piece[j].1.push(run);
+    }
+    by_piece
+        .into_par_iter()
+        .map(|(j, runs)| index(j, runs))
+        .collect()
 }
 
 #[cfg(test)]
@@ -582,17 +591,15 @@ mod tests {
         pool: &MrrPool,
         seed: u64,
     ) -> Vec<Vec<Vec<NodeId>>> {
-        let mut scratch = BfsScratch::new(graph.node_count());
+        let mut scratch = WalkScratch::new(graph.node_count());
         (0..pool.ell())
             .map(|j| {
                 let probs = PieceProbs::new(table, &campaign.piece(j).topics);
                 let live = LiveInEdges::new(graph, &probs);
                 (0..pool.theta())
                     .map(|i| {
-                        let mut set = Vec::new();
                         let mut rng = walk_rng(seed, j, i);
-                        sample_rr_set(&mut rng, &live, pool.roots()[i], &mut scratch, &mut set);
-                        set
+                        sample_rr_set(&mut rng, &live, pool.roots()[i], &mut scratch).to_vec()
                     })
                     .collect()
             })

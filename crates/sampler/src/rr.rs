@@ -1,7 +1,6 @@
 //! Single-piece reverse-reachable set pools.
 
 use crate::edge_prob::EdgeProb;
-use oipa_graph::traverse::BfsScratch;
 use oipa_graph::{DiGraph, EdgeId, NodeId};
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::SmallRng;
@@ -58,6 +57,36 @@ impl SetRun {
     }
 }
 
+/// Count and scatter over `n` nodes: the inverted index of the sets of
+/// `runs`, taken in order and numbered by `ids` in order, as each node's
+/// offsets and postings. A count of each node's occurrences and a prefix
+/// sum give each node's postings range, then one pass over the sets
+/// fills them, so a node's postings list its sets' ids in set order.
+fn scatter(runs: &[SetRun], ids: impl IntoIterator<Item = u32>, n: usize) -> (Vec<u64>, Vec<u32>) {
+    let mut counts = vec![0u64; n + 1];
+    for run in runs {
+        for &v in &run.nodes {
+            counts[v as usize + 1] += 1;
+        }
+    }
+    for i in 1..counts.len() {
+        counts[i] += counts[i - 1];
+    }
+    let mut postings = vec![0u32; counts[n] as usize];
+    let mut cursor = counts[..n].to_vec();
+    let mut ids = ids.into_iter();
+    for run in runs {
+        run.for_each_set(|set| {
+            let id = ids.next().expect("one id per set");
+            for &v in set {
+                postings[cursor[v as usize] as usize] = id;
+                cursor[v as usize] += 1;
+            }
+        });
+    }
+    (counts, postings)
+}
+
 impl RrStore {
     /// Number of RR sets θ.
     #[inline]
@@ -93,34 +122,13 @@ impl RrStore {
     }
 
     /// Indexes the sets of `runs`, taken in order as sets 0, 1, … over
-    /// `n` nodes, and drops them: a count of each node's occurrences and
-    /// a prefix sum give each node's postings range, then one pass over
-    /// the sets in id order fills them, so every node's postings ascend.
+    /// `n` nodes, and drops them. Sets are scattered in id order, so
+    /// every node's postings ascend.
     pub(crate) fn from_runs(runs: Vec<SetRun>, n: usize) -> RrStore {
-        let mut counts = vec![0u64; n + 1];
-        for run in &runs {
-            for &v in &run.nodes {
-                counts[v as usize + 1] += 1;
-            }
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let mut idx_samples = vec![0u32; counts[n] as usize];
-        let mut cursor = counts[..n].to_vec();
-        let mut id = 0u32;
-        for run in &runs {
-            run.for_each_set(|set| {
-                for &v in set {
-                    idx_samples[cursor[v as usize] as usize] = id;
-                    cursor[v as usize] += 1;
-                }
-                id = id.wrapping_add(1);
-            });
-        }
+        let (idx_offsets, idx_samples) = scatter(&runs, 0.., n);
         RrStore {
             theta: runs.iter().map(|run| run.ends.len()).sum(),
-            idx_offsets: counts,
+            idx_offsets,
             idx_samples,
         }
     }
@@ -149,50 +157,50 @@ impl RrStore {
         }
     }
 
-    /// Returns a copy of this store with the sets named in `replacements`
-    /// (sorted ascending by set id, each id at most once) replaced: the
-    /// splice step of surgical pool repair.
+    /// Returns a copy of this store with the sets `ids` (ascending, each
+    /// id at most once) replaced by the sets of `runs`, taken in order:
+    /// the splice step of surgical pool repair. The runs are dropped.
     ///
     /// Set ids never move, so each node's new postings are its old ones
     /// minus the replaced ids, merged with the replaced ids whose new set
-    /// holds it. Both lists ascend and are disjoint, so the merge ascends
-    /// exactly as [`RrStore::from_runs`] over the new sets would lay it
-    /// out, and a repaired pool matches a cold resample bit for bit. No
-    /// old set is kept to say which nodes a replaced set held, so every
-    /// node's postings pass the replaced-id filter. Borrowing rather than
-    /// mutating lets a repair build the new store straight from the stale
-    /// one, with no intermediate full-pool clone.
-    pub(crate) fn spliced(&self, replacements: &[(u32, Vec<NodeId>)]) -> RrStore {
+    /// holds it. Those added ids come from the same count and scatter as
+    /// [`RrStore::from_runs`], numbered by `ids`; as `ids` ascend, each
+    /// node's added ids ascend. Both lists ascend and are disjoint, so the
+    /// merge ascends exactly as [`RrStore::from_runs`] over the new sets
+    /// would lay it out, and a repaired pool matches a cold resample bit
+    /// for bit. No old set is kept to say which nodes a replaced set held,
+    /// so every node's postings pass the replaced-id filter. Borrowing
+    /// rather than mutating lets a repair build the new store straight
+    /// from the stale one, with no intermediate full-pool clone.
+    pub(crate) fn spliced(&self, ids: &[u32], runs: Vec<SetRun>) -> RrStore {
         debug_assert!(
-            replacements.windows(2).all(|w| w[0].0 < w[1].0),
-            "replacements must be sorted by set id without duplicates"
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "replaced ids must ascend without duplicates"
         );
-        if replacements.is_empty() {
+        debug_assert_eq!(
+            ids.len(),
+            runs.iter().map(|run| run.ends.len()).sum::<usize>(),
+            "one replaced id per new set"
+        );
+        if ids.is_empty() {
             return self.clone();
         }
         let mut replaced = vec![false; self.theta];
-        // `(node, set id)` pairs of the new sets, sorted by node then id.
-        let mut additions: Vec<(NodeId, u32)> = Vec::new();
-        for (i, new_set) in replacements {
-            replaced[*i as usize] = true;
-            additions.extend(new_set.iter().map(|&v| (v, *i)));
+        for &i in ids {
+            replaced[i as usize] = true;
         }
-        additions.sort_unstable();
-
         let n = self.idx_offsets.len() - 1;
+        let (add_offsets, additions) = scatter(&runs, ids.iter().copied(), n);
+        drop(runs);
+
         let mut idx_offsets: Vec<u64> = Vec::with_capacity(n + 1);
         let mut idx_samples: Vec<u32> =
             Vec::with_capacity(self.idx_samples.len() + additions.len());
         idx_offsets.push(0u64);
-        let mut add_cursor = 0usize;
         for v in 0..n {
-            let adds_lo = add_cursor;
-            while add_cursor < additions.len() && additions[add_cursor].0 as usize == v {
-                add_cursor += 1;
-            }
-            let mut adds = additions[adds_lo..add_cursor]
+            let mut adds = additions[add_offsets[v] as usize..add_offsets[v + 1] as usize]
                 .iter()
-                .map(|&(_, id)| id)
+                .copied()
                 .peekable();
             let (lo, hi) = (
                 self.idx_offsets[v] as usize,
@@ -289,6 +297,14 @@ impl<'a> LiveInEdges<'a> {
         }
     }
 
+    /// The node count of the graph the rows describe.
+    pub(crate) fn node_count(&self) -> usize {
+        match &self.rows {
+            Rows::Built { offsets, .. } => offsets.len() - 1,
+            Rows::Probed { graph, .. } => graph.node_count(),
+        }
+    }
+
     /// Calls `f(source, threshold)` for each live in-edge of `v`, in order.
     #[inline]
     fn for_each(&self, v: NodeId, mut f: impl FnMut(NodeId, u32)) {
@@ -325,9 +341,32 @@ fn threshold(p: f32) -> u32 {
     (f64::from(p) * f64::from(1u32 << 24)).ceil() as u32
 }
 
+/// The reusable state of RR-set walks over one graph: a visit stamp per
+/// node and the walk queue, both sized to the node count once per scratch
+/// (one per job of walks), so a walk costs only the nodes and edges it
+/// visits. A walk bumps the stamp rather than clearing the marks.
+#[derive(Debug, Clone)]
+pub struct WalkScratch {
+    stamp: u32,
+    marks: Vec<u32>,
+    queue: Vec<NodeId>,
+}
+
+impl WalkScratch {
+    /// Scratch for walks over a graph of `n` nodes.
+    pub fn new(n: usize) -> WalkScratch {
+        WalkScratch {
+            stamp: 0,
+            marks: vec![0; n],
+            queue: vec![0; n],
+        }
+    }
+}
+
 /// Samples one RR set rooted at `root`: the set of nodes that reach `root`
 /// in a live-edge sample of the influence graph, where each in-edge is live
-/// independently with its piece probability.
+/// independently with its piece probability. Returns the set, in the
+/// order the walk reached its nodes, root first.
 ///
 /// The walk visits nodes breadth-first and, for each live in-edge of a
 /// visited node whose source is not yet in the set, takes one word from
@@ -337,30 +376,51 @@ fn threshold(p: f32) -> u32 {
 /// sequence, and every stored pool's bytes, are those of a per-edge
 /// float walk over the full in-edge rows.
 ///
-/// `scratch` provides O(1)-reset visit marking; `out` receives the set
-/// (cleared first).
-pub fn sample_rr_set<R: RngCore + ?Sized>(
+/// Only the mark test, which decides whether a word is drawn, branches.
+/// About 40% of draws cross, too many for a predicted branch, so the
+/// crossing itself is branch-free: the source is written at the queue's
+/// end either way, its mark is selected, and the crossing bit is added to
+/// the queue's length. The write stays in bounds because an unmarked
+/// source exists only while fewer than n nodes are queued.
+///
+/// `scratch` must have been made for the graph `live` describes.
+pub fn sample_rr_set<'s, R: RngCore + ?Sized>(
     rng: &mut R,
     live: &LiveInEdges<'_>,
     root: NodeId,
-    scratch: &mut BfsScratch,
-    out: &mut Vec<NodeId>,
-) {
-    out.clear();
-    scratch.begin();
-    scratch.mark(root);
-    out.push(root);
-    let mut head = 0usize;
-    while head < out.len() {
-        let v = out[head];
+    scratch: &'s mut WalkScratch,
+) -> &'s [NodeId] {
+    let WalkScratch {
+        stamp,
+        marks,
+        queue,
+    } = scratch;
+    *stamp = stamp.checked_add(1).unwrap_or_else(|| {
+        // Stamp overflow after 2^32 walks: clear the marks once.
+        marks.fill(0);
+        1
+    });
+    let stamp = *stamp;
+    marks[root as usize] = stamp;
+    queue[0] = root;
+    let (mut head, mut len) = (0usize, 1usize);
+    while head < len {
+        let v = queue[head];
         head += 1;
         live.for_each(v, |source, threshold| {
-            if !scratch.is_marked(source) && ((rng.next_u64() >> 40) as u32) < threshold {
-                scratch.mark(source);
-                out.push(source);
+            let mark = &mut marks[source as usize];
+            let old = *mark;
+            if old != stamp {
+                let cross = ((rng.next_u64() >> 40) as u32) < threshold;
+                // A select on the value in hand, not on a reload of the
+                // mark, compiles to a conditional move.
+                *mark = if cross { stamp } else { old };
+                queue[len] = source;
+                len += usize::from(cross);
             }
         });
     }
+    &queue[..len]
 }
 
 /// A pool of θ RR sets for one homogeneous influence graph, with roots.
@@ -382,7 +442,7 @@ impl RrPool {
         let pick = Uniform::new(0, graph.node_count() as NodeId);
         let roots: Vec<NodeId> = (0..theta).map(|_| pick.sample(&mut rng)).collect();
         let live = LiveInEdges::for_walks(graph, probs, theta);
-        let store = generate_store(graph, &live, &roots, seed ^ 0x9e37_79b9_7f4a_7c15);
+        let store = generate_store(&live, &roots, seed ^ 0x9e37_79b9_7f4a_7c15);
         RrPool {
             n: graph.node_count() as u32,
             roots,
@@ -450,19 +510,18 @@ impl RrPool {
 /// an independent RNG stream derived from (seed, chunk index).
 const CHUNK: usize = 4096;
 
-fn generate_store(graph: &DiGraph, live: &LiveInEdges<'_>, roots: &[NodeId], seed: u64) -> RrStore {
+fn generate_store(live: &LiveInEdges<'_>, roots: &[NodeId], seed: u64) -> RrStore {
     // Chunk jobs are independent seed-derived streams; par_iter + collect
     // preserves chunk order, so the index is thread-count-invariant.
     let chunk_jobs: Vec<(usize, &[NodeId])> = roots.chunks(CHUNK).enumerate().collect();
     let runs: Vec<SetRun> = chunk_jobs
         .par_iter()
-        .map(|&(ci, chunk_roots)| generate_chunk(graph, live, chunk_roots, seed, ci))
+        .map(|&(ci, chunk_roots)| generate_chunk(live, chunk_roots, seed, ci))
         .collect();
-    RrStore::from_runs(runs, graph.node_count())
+    RrStore::from_runs(runs, live.node_count())
 }
 
 fn generate_chunk(
-    graph: &DiGraph,
     live: &LiveInEdges<'_>,
     roots: &[NodeId],
     seed: u64,
@@ -475,12 +534,10 @@ fn generate_chunk(
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(0x517c_c1b7);
     let mut rng = SmallRng::seed_from_u64(seed ^ stream);
-    let mut scratch = BfsScratch::new(graph.node_count());
-    let mut set_buf: Vec<NodeId> = Vec::new();
+    let mut scratch = WalkScratch::new(live.node_count());
     let mut run = SetRun::with_capacity(roots.len());
     for &root in roots {
-        sample_rr_set(&mut rng, live, root, &mut scratch, &mut set_buf);
-        run.push(&set_buf);
+        run.push(sample_rr_set(&mut rng, live, root, &mut scratch));
     }
     run
 }
@@ -496,34 +553,32 @@ mod tests {
     /// The per-edge loop [`sample_rr_set`] replaced, kept as the
     /// reference it must match: one probability probe per unmarked
     /// in-edge, and one `gen_range(0.0f32..1.0)` draw for each with
-    /// `p > 0`.
+    /// `p > 0`, crossing by branch.
     fn reference_rr_set<R: Rng + ?Sized, P: EdgeProb + ?Sized>(
         rng: &mut R,
         graph: &DiGraph,
         probs: &P,
         root: NodeId,
-        scratch: &mut BfsScratch,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        scratch.begin();
-        scratch.mark(root);
-        out.push(root);
+    ) -> Vec<NodeId> {
+        let mut marked = vec![false; graph.node_count()];
+        marked[root as usize] = true;
+        let mut out = vec![root];
         let mut head = 0usize;
         while head < out.len() {
             let v = out[head];
             head += 1;
             for e in graph.in_edges(v) {
-                if scratch.is_marked(e.source) {
+                if marked[e.source as usize] {
                     continue;
                 }
                 let p = probs.prob(e.id);
                 if p > 0.0 && rng.gen_range(0.0f32..1.0) < p {
-                    scratch.mark(e.source);
+                    marked[e.source as usize] = true;
                     out.push(e.source);
                 }
             }
         }
+        out
     }
 
     /// A generator that returns one fixed word.
@@ -542,8 +597,7 @@ mod tests {
     #[test]
     fn threshold_is_exactly_the_float_draw() {
         let g = DiGraph::from_edges(2, &[(0, 1)]).unwrap();
-        let mut scratch = BfsScratch::new(2);
-        let mut out = Vec::new();
+        let mut scratch = WalkScratch::new(2);
         let step = 1.0f32 / (1u32 << 24) as f32;
         let below = |p: f32| f32::from_bits(p.to_bits() - 1);
         let above = |p: f32| f32::from_bits(p.to_bits() + 1);
@@ -571,8 +625,8 @@ mod tests {
                 let u: f32 = Word(word).gen_range(0.0f32..1.0);
                 assert_eq!(u < p, k < t, "p = {p:e}, k = {k}, threshold {t}");
                 let live = LiveInEdges::new(&g, &MaterializedProbs(vec![p]));
-                sample_rr_set(&mut Word(word), &live, 1, &mut scratch, &mut out);
-                assert_eq!(out.len() == 2, u < p, "walk at p = {p:e}, k = {k}");
+                let set = sample_rr_set(&mut Word(word), &live, 1, &mut scratch);
+                assert_eq!(set.len() == 2, u < p, "walk at p = {p:e}, k = {k}");
             }
         }
         assert_eq!(threshold(0.0), 0);
@@ -611,14 +665,15 @@ mod tests {
         /// the probabilities, returns exactly the sets of the per-edge
         /// reference and consumes exactly its draws, on graphs with
         /// multi-edges and self-loops and probabilities that are zero,
-        /// one, above one, negative or NaN.
+        /// one, above one, negative or NaN; on the same edges placed
+        /// among 50 000 nodes; and on a complete digraph at p = 1, where
+        /// every walk marks every node and fills the queue.
         #[test]
         fn live_edge_walk_equals_per_edge_reference(
             edges in proptest::collection::vec(((0u32..12, 0u32..12), 0u8..8, 0.0f32..1.0), 0..70),
             seed in 0u64..u64::MAX,
         ) {
             let pairs: Vec<(NodeId, NodeId)> = edges.iter().map(|&(e, _, _)| e).collect();
-            let g = DiGraph::from_edges(12, &pairs).unwrap();
             let probs = MaterializedProbs(
                 edges
                     .iter()
@@ -633,19 +688,39 @@ mod tests {
                     })
                     .collect(),
             );
-            let built = LiveInEdges::new(&g, &probs);
-            let probed = LiveInEdges::for_walks(&g, &probs, 0);
-            for live in [&built, &probed] {
-                let mut rng_new = SmallRng::seed_from_u64(seed);
-                let mut rng_ref = SmallRng::seed_from_u64(seed);
-                let mut scratch = BfsScratch::new(12);
-                let (mut got, mut want) = (Vec::new(), Vec::new());
-                for walk in 0..48u32 {
-                    let root = walk % 12;
-                    sample_rr_set(&mut rng_new, live, root, &mut scratch, &mut got);
-                    reference_rr_set(&mut rng_ref, &g, &probs, root, &mut scratch, &mut want);
-                    prop_assert_eq!(&got, &want, "walk {}", walk);
-                    prop_assert_eq!(rng_new.next_u64(), rng_ref.next_u64(), "draws of walk {}", walk);
+            let spread = |v: NodeId| v * 4_111 + 7;
+            let wide: Vec<(NodeId, NodeId)> =
+                pairs.iter().map(|&(u, v)| (spread(u), spread(v))).collect();
+            let complete: Vec<(NodeId, NodeId)> = (0..12u32)
+                .flat_map(|u| (0..12u32).filter(move |&v| v != u).map(move |v| (u, v)))
+                .collect();
+            let cases = [
+                ("12 nodes", DiGraph::from_edges(12, &pairs).unwrap(), probs.clone(), (0..12).collect::<Vec<NodeId>>()),
+                ("50 000 nodes", DiGraph::from_edges(50_000, &wide).unwrap(), probs, (0..12).map(spread).collect()),
+                (
+                    "complete",
+                    DiGraph::from_edges(12, &complete).unwrap(),
+                    MaterializedProbs(vec![1.0; complete.len()]),
+                    (0..12).collect(),
+                ),
+            ];
+            for (label, g, probs, roots) in &cases {
+                let built = LiveInEdges::new(g, probs);
+                let probed = LiveInEdges::for_walks(g, probs, 0);
+                for live in [&built, &probed] {
+                    let mut rng_new = SmallRng::seed_from_u64(seed);
+                    let mut rng_ref = SmallRng::seed_from_u64(seed);
+                    let mut scratch = WalkScratch::new(g.node_count());
+                    for walk in 0..48usize {
+                        let root = roots[walk % roots.len()];
+                        let got = sample_rr_set(&mut rng_new, live, root, &mut scratch);
+                        let want = reference_rr_set(&mut rng_ref, g, probs, root);
+                        prop_assert_eq!(got, &want[..], "{} walk {}", label, walk);
+                        if *label == "complete" {
+                            prop_assert_eq!(got.len(), 12, "walk {}", walk);
+                        }
+                        prop_assert_eq!(rng_new.next_u64(), rng_ref.next_u64(), "{} draws of walk {}", label, walk);
+                    }
                 }
             }
         }
@@ -663,14 +738,11 @@ mod tests {
         let (g, p) = line_graph();
         let live = LiveInEdges::new(&g, &p);
         let mut rng = StdRng::seed_from_u64(0);
-        let mut scratch = BfsScratch::new(3);
-        let mut out = Vec::new();
-        sample_rr_set(&mut rng, &live, 2, &mut scratch, &mut out);
-        let mut sorted = out.clone();
+        let mut scratch = WalkScratch::new(3);
+        let mut sorted = sample_rr_set(&mut rng, &live, 2, &mut scratch).to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
-        sample_rr_set(&mut rng, &live, 0, &mut scratch, &mut out);
-        assert_eq!(out, vec![0]);
+        assert_eq!(sample_rr_set(&mut rng, &live, 0, &mut scratch), &[0]);
     }
 
     #[test]
@@ -678,11 +750,9 @@ mod tests {
         let g = DiGraph::from_edges(2, &[(0, 1)]).unwrap();
         let live = LiveInEdges::new(&g, &MaterializedProbs(vec![0.0]));
         let mut rng = StdRng::seed_from_u64(1);
-        let mut scratch = BfsScratch::new(2);
-        let mut out = Vec::new();
+        let mut scratch = WalkScratch::new(2);
         for _ in 0..50 {
-            sample_rr_set(&mut rng, &live, 1, &mut scratch, &mut out);
-            assert_eq!(out, vec![1]);
+            assert_eq!(sample_rr_set(&mut rng, &live, 1, &mut scratch), &[1]);
         }
     }
 
@@ -756,7 +826,7 @@ mod tests {
         let p = MaterializedProbs(vec![0.3; g.edge_count()]);
         let pool = RrPool::generate(&g, &p, 2000, 3);
         let live = LiveInEdges::for_walks(&g, &p, 2000);
-        let run = generate_chunk(&g, &live, pool.roots(), 3 ^ 0x9e37_79b9_7f4a_7c15, 0);
+        let run = generate_chunk(&live, pool.roots(), 3 ^ 0x9e37_79b9_7f4a_7c15, 0);
         let mut sets = Vec::new();
         run.for_each_set(|set| sets.push(set.to_vec()));
         assert_eq!(sets.len(), pool.theta());
@@ -812,25 +882,24 @@ mod tests {
             RrStore::from_runs(vec![run], 4)
         };
         let store = index(&old);
-        let cases: [&[(u32, Vec<NodeId>)]; 4] = [
+        let cases: [&[(u32, &[NodeId])]; 4] = [
             &[],
-            &[(2, vec![3])],
-            &[(0, vec![]), (3, vec![3, 0]), (4, vec![1])],
-            &[
-                (0, vec![3]),
-                (1, vec![0, 3]),
-                (2, vec![]),
-                (3, vec![2]),
-                (4, vec![1, 0]),
-            ],
+            &[(2, &[3])],
+            &[(0, &[]), (3, &[3, 0]), (4, &[1])],
+            &[(0, &[3]), (1, &[0, 3]), (2, &[]), (3, &[2]), (4, &[1, 0])],
         ];
         for replacements in cases {
             let mut new = old.clone();
-            for (i, set) in replacements {
-                new[*i as usize] = set.clone();
+            // The new sets in two runs, split after the first.
+            let mut runs = [SetRun::default(), SetRun::default()];
+            for (k, &(i, set)) in replacements.iter().enumerate() {
+                new[i as usize] = set.to_vec();
+                runs[usize::from(k > 0)].push(set);
             }
+            let ids: Vec<u32> = replacements.iter().map(|&(i, _)| i).collect();
             let label = format!("{} replaced", replacements.len());
-            assert_same_index(&store.spliced(replacements), &index(&new), 4, &label);
+            let spliced = store.spliced(&ids, runs.into());
+            assert_same_index(&spliced, &index(&new), 4, &label);
         }
     }
 

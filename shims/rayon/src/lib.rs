@@ -9,6 +9,8 @@
 //!   parallel map: output index `i` always holds `f(&slice[i])`, which is
 //!   what makes the samplers' chunked generation bitwise deterministic
 //!   under any thread count;
+//! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` — the same map over
+//!   owned items, each moved into its call of `f`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] — scoped thread-count
 //!   control (a thread-local override here, not a real persistent pool);
 //! * [`current_num_threads`].
@@ -20,10 +22,12 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub mod prelude {
-    //! Traits that make `.par_iter()` available on slices and vectors.
-    pub use crate::IntoParallelRefIterator;
+    //! Traits that make `.par_iter()` available on slices and vectors,
+    //! and `.into_par_iter()` on vectors.
+    pub use crate::{IntoParallelIterator, IntoParallelRefIterator};
 }
 
 thread_local! {
@@ -178,6 +182,73 @@ where
     }
 }
 
+/// Conversion into a parallel iterator over owned items, implemented for
+/// `Vec<T>`.
+pub trait IntoParallelIterator {
+    /// The owned item type.
+    type Item;
+    /// Consumes `self` into a parallel iterator.
+    fn into_par_iter(self) -> IntoParIter<Self::Item>;
+}
+
+impl<T: Send> IntoParallelIterator for Vec<T> {
+    type Item = T;
+    fn into_par_iter(self) -> IntoParIter<T> {
+        IntoParIter { items: self }
+    }
+}
+
+/// An owning parallel iterator over a vector.
+#[derive(Debug)]
+pub struct IntoParIter<T> {
+    items: Vec<T>,
+}
+
+impl<T: Send> IntoParIter<T> {
+    /// Maps each item through `f` in parallel, preserving order.
+    pub fn map<O, F>(self, f: F) -> IntoParMap<T, F>
+    where
+        F: Fn(T) -> O + Sync,
+        O: Send,
+    {
+        IntoParMap {
+            items: self.items,
+            f,
+        }
+    }
+}
+
+/// The result of [`IntoParIter::map`]: a lazy parallel map, executed by
+/// [`IntoParMap::collect`].
+#[derive(Debug)]
+pub struct IntoParMap<T, F> {
+    items: Vec<T>,
+    f: F,
+}
+
+impl<T, F, O> IntoParMap<T, F>
+where
+    T: Send,
+    O: Send,
+    F: Fn(T) -> O + Sync,
+{
+    /// Executes the map and collects results **in input order**. Each
+    /// item is moved into `f` and dropped there, so its memory is freed
+    /// as soon as its call returns.
+    pub fn collect<C: FromIterator<O>>(self) -> C {
+        let slots: Vec<Mutex<Option<T>>> = self
+            .items
+            .into_iter()
+            .map(|item| Mutex::new(Some(item)))
+            .collect();
+        let take = |slot: &Mutex<Option<T>>| {
+            let item = slot.lock().expect("unpoisoned slot").take();
+            (self.f)(item.expect("each item is taken once"))
+        };
+        par_map_vec(&slots, &take).into_iter().collect()
+    }
+}
+
 /// Order-preserving parallel map: dynamic scheduling via an atomic item
 /// cursor, results reassembled by index.
 fn par_map_vec<T: Sync, O: Send>(items: &[T], f: &(impl Fn(&T) -> O + Sync)) -> Vec<O> {
@@ -228,6 +299,15 @@ mod tests {
         let input: Vec<u64> = (0..1000).collect();
         let doubled: Vec<u64> = input.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn owned_map_preserves_order() {
+        let input: Vec<Vec<u64>> = (0..100).map(|i| vec![i; 3]).collect();
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let sums: Vec<u64> =
+            pool.install(|| input.into_par_iter().map(|v| v.iter().sum()).collect());
+        assert_eq!(sums, (0..100).map(|i| 3 * i).collect::<Vec<_>>());
     }
 
     #[test]
