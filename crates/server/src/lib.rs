@@ -13,7 +13,7 @@
 //! | `/solve` | POST | [`SolveRequest`] JSON | 200 [`SolveResponse`](oipa_service::SolveResponse) JSON |
 //! | `/delta` | POST | [`GraphDelta`] JSON | 200 [`DeltaReport`](oipa_service::DeltaReport) JSON |
 //! | `/healthz` | GET | — | 200 `{"status":"ok"}` + build/uptime identity (or `"degraded"` + disk-tier detail while the store rides out a disk fault) |
-//! | `/stats` | GET | — | 200 [`StatsBody`] JSON: a [`ServerIdentity`] header plus the [`StatsSnapshot`](oipa_store::StatsSnapshot) (arena + disk counters) |
+//! | `/stats` | GET | — | 200 [`StatsBody`] JSON: a [`ServerIdentity`] header plus the [`StatsSnapshot`](oipa_store::StatsSnapshot) (arena + disk counters) and the [`LineageStats`] of the epoch chain |
 //! | `/metrics` | GET | — | 200 Prometheus text exposition (`text/plain; version=0.0.4`) of the whole [`oipa_obs::Registry`] |
 //!
 //! ## Observability
@@ -326,22 +326,20 @@ fn register_store_collector(registry: &Registry, service: SharedService) {
     use MetricKind::{Counter, Gauge};
     registry.register_collector(move |w| {
         let snap = read_service(&service).stats_snapshot();
-        let chain = read_service(&service)
-            .lineage()
-            .map_or(0, |l| l.fingerprints().len());
+        let lineage = LineageStats::of(&read_service(&service));
         bridge(
             w,
             "oipa_store_epoch",
             Gauge,
             "Epoch of the lineage head pools serve at: deltas applied since the cold load.",
-            chain.saturating_sub(1) as u64,
+            lineage.epoch,
         );
         bridge(
             w,
             "oipa_store_lineage_length",
             Gauge,
             "Fingerprints on the store's epoch chain (0 on pool-only sessions).",
-            chain as u64,
+            lineage.length,
         );
         let mem = &snap.mem;
         bridge(
@@ -920,17 +918,43 @@ pub struct ServerIdentity {
     pub uptime_seconds: f64,
 }
 
-/// The full `GET /stats` body: identity header + store snapshot.
+/// Where the store's epoch chain stands: the values of the
+/// `oipa_store_epoch` and `oipa_store_lineage_length` gauges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LineageStats {
+    /// Epoch of the lineage head pools serve at: deltas applied since the
+    /// cold load.
+    pub epoch: u64,
+    /// Fingerprints on the store's epoch chain (0 on pool-only sessions).
+    pub length: u64,
+}
+
+impl LineageStats {
+    fn of(service: &PlannerService) -> LineageStats {
+        let length = service.lineage().map_or(0, |l| l.fingerprints().len()) as u64;
+        LineageStats {
+            epoch: length.saturating_sub(1),
+            length,
+        }
+    }
+}
+
+/// The full `GET /stats` body: identity header, store snapshot and the
+/// epoch chain.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatsBody {
     /// Who is answering (build/schema/uptime identity).
     pub server: ServerIdentity,
     /// The pool store's two-tier counter snapshot.
     pub store: oipa_store::StatsSnapshot,
+    /// Where the store's epoch chain stands.
+    pub lineage: LineageStats,
 }
 
-/// The `/stats` handler: the store snapshot under an identity header.
+/// The `/stats` handler: the store snapshot and the epoch chain under an
+/// identity header.
 fn stats(shared: &Shared) -> Result<String, HttpError> {
+    let service = read_service(&shared.service);
     let body = StatsBody {
         server: ServerIdentity {
             service: "oipa-server".to_string(),
@@ -939,7 +963,8 @@ fn stats(shared: &Shared) -> Result<String, HttpError> {
             metrics_schema: oipa_obs::METRICS_SCHEMA.to_string(),
             uptime_seconds: shared.started.elapsed().as_secs_f64(),
         },
-        store: read_service(&shared.service).stats_snapshot(),
+        store: service.stats_snapshot(),
+        lineage: LineageStats::of(&service),
     };
     serde_json::to_string(&body).map_err(|e| HttpError::new(500, "serialize", e.to_string()))
 }

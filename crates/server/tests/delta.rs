@@ -68,6 +68,17 @@ fn delta_over_wire_repairs_the_cached_pool() {
         (1.0, 2.0),
         "/metrics shows the new epoch"
     );
+    let stats = request(addr, "GET", "/stats", None);
+    assert_eq!(stats.status, 200, "{}", stats.body_str());
+    let stats: oipa_server::StatsBody = serde_json::from_str(stats.body_str()).unwrap();
+    assert_eq!(
+        stats.lineage,
+        oipa_server::LineageStats {
+            epoch: 1,
+            length: 2
+        },
+        "/stats shows the new epoch"
+    );
     let report: DeltaReport = serde_json::from_str(resp.body_str()).unwrap();
     assert_eq!(report.epoch, 1);
     assert_eq!(report.ops, 2);
