@@ -24,7 +24,8 @@
 //!   integer threshold, built from an [`EdgeProb`] once per pool (or, for
 //!   pools with fewer walks than a quarter of the nodes, read row by row
 //!   from it): every RR-set walk ([`sample_rr_set`]) runs over it,
-//!   drawing one 24-bit integer per edge it probes;
+//!   drawing one 24-bit integer per edge it probes, on a [`WalkScratch`]
+//!   sized to the node count once per job of walks;
 //! * [`simulate`] — forward Monte-Carlo cascade simulation, the ground
 //!   truth against which the estimator is validated.
 //!

@@ -59,32 +59,35 @@ impl SetRun {
 
 /// Count and scatter over `n` nodes: the inverted index of the sets of
 /// `runs`, taken in order and numbered by `ids` in order, as each node's
-/// offsets and postings. A count of each node's occurrences and a prefix
-/// sum give each node's postings range, then one pass over the sets
-/// fills them, so a node's postings list its sets' ids in set order.
+/// offsets and postings. Node `v`'s count goes to `offsets[v + 2]`, so
+/// after the prefix sum `offsets[v + 1]` is where its postings start; one
+/// pass over the sets fills them, using `offsets[v + 1]` as `v`'s cursor,
+/// which leaves it at `v`'s end, i.e. `v + 1`'s start. A node's postings
+/// list its sets' ids in set order, and the offsets need no second array.
 fn scatter(runs: &[SetRun], ids: impl IntoIterator<Item = u32>, n: usize) -> (Vec<u64>, Vec<u32>) {
-    let mut counts = vec![0u64; n + 1];
+    let mut offsets = vec![0u64; n + 2];
     for run in runs {
         for &v in &run.nodes {
-            counts[v as usize + 1] += 1;
+            offsets[v as usize + 2] += 1;
         }
     }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
+    for i in 2..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
-    let mut postings = vec![0u32; counts[n] as usize];
-    let mut cursor = counts[..n].to_vec();
+    let mut postings = vec![0u32; offsets[n + 1] as usize];
     let mut ids = ids.into_iter();
     for run in runs {
         run.for_each_set(|set| {
             let id = ids.next().expect("one id per set");
             for &v in set {
-                postings[cursor[v as usize] as usize] = id;
-                cursor[v as usize] += 1;
+                let cursor = &mut offsets[v as usize + 1];
+                postings[*cursor as usize] = id;
+                *cursor += 1;
             }
         });
     }
-    (counts, postings)
+    offsets.truncate(n + 1);
+    (offsets, postings)
 }
 
 impl RrStore {
